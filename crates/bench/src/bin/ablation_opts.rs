@@ -13,8 +13,6 @@
 //!   4Ki-chunk row with background prefetch / chunk-buffer recycling
 //!   disabled (on single-core machines the pipeline already elides the
 //!   prefetch worker, so expect that delta to be noise there);
-//! * send-buffer auto-tuning — `CuspConfig::auto_buffer` sizes flush
-//!   thresholds from the reading split instead of the fixed default;
 //! * phase checkpoints — the "checkpointed" row reruns the baseline with
 //!   `CuspConfig::checkpoint_dir` set, so the delta against "baseline" is
 //!   the crash-free cost of snapshotting recovery state at phase
@@ -54,7 +52,7 @@ fn main() {
     );
     let ckpt_dir = std::env::temp_dir().join("cusp-ablation-ckpt");
     for input in drilldown_inputs(scale) {
-        let variants: [(&str, CuspConfig, bool); 12] = [
+        let variants: [(&str, CuspConfig, bool); 11] = [
             ("baseline", CuspConfig::default(), false),
             ("traced", CuspConfig::default(), true),
             (
@@ -128,14 +126,6 @@ fn main() {
                 CuspConfig {
                     chunk_edges: Some(4 * 1024),
                     arena_reuse: false,
-                    ..CuspConfig::default()
-                },
-                false,
-            ),
-            (
-                "auto-tuned buffers",
-                CuspConfig {
-                    auto_buffer: true,
                     ..CuspConfig::default()
                 },
                 false,

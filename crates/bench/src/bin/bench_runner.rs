@@ -81,13 +81,12 @@ fn main() {
         input.graph.num_edges()
     );
 
-    // The optimized config is the shipped defaults (prefetch + arena on,
-    // auto-buffer opt-in) over the chunked File source.
+    // The optimized config is the shipped defaults (prefetch + arena on)
+    // over the chunked File source.
     let optimized = CuspConfig { chunk_edges: Some(CHUNK_EDGES), ..CuspConfig::default() };
     let knobs_off = CuspConfig {
         prefetch: false,
         arena_reuse: false,
-        auto_buffer: false,
         ..optimized.clone()
     };
 
@@ -131,7 +130,6 @@ fn main() {
         ("optimized", optimized.clone()),
         ("prefetch-off", CuspConfig { prefetch: false, ..optimized.clone() }),
         ("arena-off", CuspConfig { arena_reuse: false, ..optimized.clone() }),
-        ("auto-buffer", CuspConfig { auto_buffer: true, ..optimized.clone() }),
         ("scalar-codec", CuspConfig { scalar_codec: true, ..optimized.clone() }),
         ("monolithic", CuspConfig { chunk_edges: None, ..optimized.clone() }),
     ];

@@ -22,8 +22,9 @@
 //! restarted host is bit-identical to the reset state a crash-free run
 //! would have used.
 //!
-//! The on-disk format follows `storage.rs`: a fixed header (magic,
-//! version, stage, host topology), a payload, and a trailing CRC-32.
+//! The on-disk format is a [`cusp_graph::record`] sealed body: a fixed
+//! header (magic, version, stage, host topology) and a payload, followed
+//! by a CRC-32 trailer over both.
 //! Corruption is handled by *rejection*, never by partial trust — any
 //! truncation, bad magic, wrong topology, or checksum mismatch makes
 //! [`CheckpointStore::load`] return `None`, and the restarted host simply
@@ -38,7 +39,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use cusp_graph::Node;
+use cusp_graph::{record, Node};
 use cusp_net::{NetCheckpoint, WireReader, WireWriter};
 
 use crate::phases::edge_assign::EdgeAssignOutcome;
@@ -266,24 +267,10 @@ pub struct Checkpoint {
     pub edge_assign: Option<EdgeAssignSnapshot>,
 }
 
-/// CRC-32 (IEEE, reflected) over `bytes` — same polynomial as gzip/zip.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Per-host checkpoint file management: `host-{h}.ckpt` under a shared
 /// directory, written atomically, loaded defensively.
 pub struct CheckpointStore {
     path: PathBuf,
-    tmp: PathBuf,
     hosts: usize,
     host: usize,
 }
@@ -295,7 +282,6 @@ impl CheckpointStore {
         fs::create_dir_all(dir)?;
         Ok(CheckpointStore {
             path: dir.join(format!("host-{host}.ckpt")),
-            tmp: dir.join(format!("host-{host}.ckpt.tmp")),
             hosts,
             host,
         })
@@ -324,13 +310,7 @@ impl CheckpointStore {
                 ea.encode(&mut w);
             }
         }
-        let body = w.finish();
-        let crc = crc32(&body);
-        let mut file = Vec::with_capacity(body.len() + 4);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&crc.to_le_bytes());
-        fs::write(&self.tmp, &file)?;
-        fs::rename(&self.tmp, &self.path)
+        record::write_atomic(&self.path, &record::seal(&w.finish()))
     }
 
     /// Loads the checkpoint, or `None` when the file is missing, for a
@@ -339,16 +319,10 @@ impl CheckpointStore {
     /// payload). A corrupt checkpoint is indistinguishable from an absent
     /// one by design: the restart falls back to full re-execution.
     pub fn load(&self) -> Option<Checkpoint> {
-        let raw = fs::read(&self.path).ok()?;
-        if raw.len() < 4 {
-            return None;
-        }
-        let (body, tail) = raw.split_at(raw.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().ok()?);
-        if crc32(body) != stored {
-            return None;
-        }
-        let mut r = WireReader::new(Bytes::from(body.to_vec()));
+        let mut raw = fs::read(&self.path).ok()?;
+        let body_len = record::unseal(&raw)?.len();
+        raw.truncate(body_len);
+        let mut r = WireReader::new(Bytes::from(raw));
         if r.get_u64().ok()? != MAGIC || r.get_u32().ok()? != VERSION {
             return None;
         }
@@ -374,7 +348,7 @@ impl CheckpointStore {
     /// ignored — a missing file is the goal state.
     pub fn clear(&self) {
         let _ = fs::remove_file(&self.path);
-        let _ = fs::remove_file(&self.tmp);
+        let _ = fs::remove_file(record::temp_path(&self.path));
     }
 }
 
@@ -502,16 +476,77 @@ mod tests {
         let s = store(&dir);
         s.save(&sample(Stage::Master)).expect("saves");
         // Same file, read back as a different host or cluster size.
-        let other_host = CheckpointStore { path: s.path.clone(), tmp: s.tmp.clone(), hosts: 3, host: 2 };
+        let other_host = CheckpointStore { path: s.path.clone(), hosts: 3, host: 2 };
         assert!(other_host.load().is_none(), "wrong host accepted");
-        let other_size = CheckpointStore { path: s.path.clone(), tmp: s.tmp.clone(), hosts: 4, host: 1 };
+        let other_size = CheckpointStore { path: s.path.clone(), hosts: 4, host: 1 };
         assert!(other_size.load().is_none(), "wrong cluster size accepted");
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `sample(Stage::EdgeAssign)` saved by host 1 of 3, byte for byte as
+    /// the format has always written it.
+    const GOLDEN_CKPT: &str = "\
+        43555350434b00000200000003000000030000000000000001000000000000006000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        11000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000006000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000040000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+        00000000000000000000000000000000000000000000000003000000000000000100000004000000\
+        72656164030000000000000000000000000000000000000000000000000000000000000003000000\
+        00000000000000000000000000000000000000000000000000000000030000000000000007000000\
+        00000000070000000000000007000000000000000300000000000000010000000000000001000000\
+        000000000100000000000000010a0000000500000000000000000000000100000002000000000000\
+        00010000000200000000000000030000006300000002000000000000000200000000000000010200\
+        0000000000000a0000000b0000000200000000000000030000000100000002000000000000000000\
+        0000020000000100000000000000630000000100000000000000000000000102000000000000000a\
+        0000000c0000002a000000000000000e83723f";
+
     #[test]
-    fn crc_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    fn golden_bytes_load_and_resave() {
+        let golden: Vec<u8> = (0..GOLDEN_CKPT.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_CKPT[i..i + 2], 16).unwrap())
+            .collect();
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-golden-{}", std::process::id()));
+        let s = store(&dir);
+        fs::write(s.path(), &golden).expect("writable");
+        assert_eq!(s.load().expect("golden checkpoint loads"), sample(Stage::EdgeAssign));
+        s.save(&sample(Stage::EdgeAssign)).expect("saves");
+        assert_eq!(fs::read(s.path()).expect("readable"), golden);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -237,13 +237,6 @@ impl CsrBuilder {
         self.cursor[u] = slot + 1;
     }
 
-    /// Inserts a batch of out-edges of `u`, returning the slot range used.
-    pub fn insert_batch(&mut self, u: usize, dsts: &[Node]) {
-        for &d in dsts {
-            self.insert(u, d);
-        }
-    }
-
     /// Finishes, checking all declared slots were filled.
     ///
     /// # Panics
@@ -261,18 +254,6 @@ impl CsrBuilder {
             offsets: self.offsets,
             dests: self.dests,
         }
-    }
-
-    /// Raw parts for lock-free parallel filling: `(offsets, dests_ptr)`.
-    /// Used by the construction phase, which computes disjoint slot ranges
-    /// with a prefix sum and fills them from multiple threads.
-    pub fn into_parts(self) -> (Vec<EdgeIdx>, Vec<Node>, Vec<EdgeIdx>) {
-        (self.offsets, self.dests, self.cursor)
-    }
-
-    /// Rebuilds from parts after external (parallel) filling.
-    pub fn from_filled_parts(offsets: Vec<EdgeIdx>, dests: Vec<Node>) -> Csr {
-        Csr::from_parts(offsets, dests)
     }
 }
 

@@ -28,6 +28,7 @@ pub mod file;
 pub mod gen;
 pub mod metis;
 pub mod props;
+pub mod record;
 pub mod wal;
 
 pub use chunk::{chunk_boundaries, ChunkBacking, ChunkedSlice};

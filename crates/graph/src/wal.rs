@@ -20,21 +20,21 @@
 //!          SetWeight: weight u32
 //! ```
 //!
-//! Appends are true appends: one framed record is written at the tail
-//! and fsynced before the call returns, so the cost of an append is the
-//! size of the *batch*, not the log, and an `Ok` means the batch is
-//! durable. A crash mid-append can leave a torn final record — which by
-//! construction was never acknowledged — and [`Wal::recover`] repairs
-//! exactly that by truncating back to the longest valid prefix.
-//! Decoding is *total*: truncation, bit flips, torn records, and
-//! version skew all map to a typed [`WalError`], never a panic — the
-//! same discipline as `cusp::checkpoint` and the `cusp-serve` frame
-//! codec.
+//! Records are [`crate::record`] records. Appends are true appends: one
+//! record is written at the tail and fsynced before the call returns, so
+//! the cost of an append is the size of the *batch*, not the log, and an
+//! `Ok` means the batch is durable. A crash mid-append can leave a torn
+//! final record (or header, on the first append) — which by construction
+//! was never acknowledged — and [`Wal::recover`] repairs exactly that by
+//! truncating back to the longest valid prefix. Decoding is *total*:
+//! truncation, bit flips, torn records, and version skew all map to a
+//! typed [`WalError`], never a panic.
 
 use std::path::{Path, PathBuf};
 
 use crate::{EdgeIdx, Node};
 use crate::csr::Csr;
+use crate::record::{self, RecordError};
 
 /// WAL file magic: `CUSPWAL\0` read as a little-endian `u64`.
 pub const WAL_MAGIC: u64 = u64::from_le_bytes(*b"CUSPWAL\0");
@@ -42,6 +42,8 @@ pub const WAL_MAGIC: u64 = u64::from_le_bytes(*b"CUSPWAL\0");
 pub const WAL_VERSION: u32 = 1;
 /// Header byte count (magic + version).
 pub const WAL_HEADER_BYTES: usize = 12;
+/// The header every WAL starts with: [`WAL_MAGIC`] then [`WAL_VERSION`].
+const HEADER: [u8; WAL_HEADER_BYTES] = *b"CUSPWAL\0\x01\0\0\0";
 /// Smallest possible encoded event (tag + src + dst).
 const MIN_EVENT_BYTES: usize = 9;
 
@@ -169,22 +171,8 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// CRC-32 (IEEE, reflected) — the same polynomial as the checkpoint
-/// store and the serve frame codec.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Encodes one batch as a WAL record payload (no framing). Shared with
-/// the serve protocol so the wire and the log speak the same bytes.
+/// Encodes one batch as a WAL record payload (no framing; the serve
+/// protocol has its own event encoding).
 pub fn encode_batch(batch: &[GraphEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + batch.len() * 14);
     out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
@@ -301,17 +289,17 @@ impl Wal {
         decode_wal(&bytes)
     }
 
-    /// Appends one batch as a single framed record at the tail, creating
-    /// the file (and its header) on first use, and fsyncs before
-    /// returning — an `Ok` means the batch is durable. O(batch), not
-    /// O(log): existing records are not re-read; only the header is
-    /// sanity-checked, full validation being [`load`](Wal::load)'s job.
+    /// Appends one batch as a single record at the tail, creating the
+    /// file (and its header) on first use or over a torn first append, and
+    /// fsyncs before returning — an `Ok` means the batch is durable.
+    /// O(batch), not O(log): existing records are not re-read; only the
+    /// header is checked, full validation being [`load`](Wal::load)'s job.
     ///
     /// Returns the byte length the log had before this append; pass it
     /// to [`truncate_to`](Wal::truncate_to) to roll the append back if
     /// the caller cannot honor the batch after journaling it.
     pub fn append(&self, batch: &[GraphEvent]) -> Result<u64, WalError> {
-        use std::io::{Read, Seek, SeekFrom, Write};
+        use std::io::{Read, Write};
         if let Some(dir) = self.path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -322,39 +310,21 @@ impl Wal {
             .read(true)
             .append(true)
             .open(&self.path)?;
-        let len = f.metadata()?.len();
-        let prior = if len == 0 {
-            let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
-            header.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-            header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-            f.write_all(&header)?;
+        let mut head = Vec::with_capacity(WAL_HEADER_BYTES);
+        (&mut f).take(WAL_HEADER_BYTES as u64).read_to_end(&mut head)?;
+        // Header and first record go out in one write, so a crash can
+        // only leave a prefix of them.
+        let mut out = Vec::new();
+        let prior = if is_torn_header(&head) {
+            f.set_len(0)?;
+            out.extend_from_slice(&HEADER);
             WAL_HEADER_BYTES as u64
         } else {
-            if len < WAL_HEADER_BYTES as u64 {
-                return Err(WalError::Truncated {
-                    needed: WAL_HEADER_BYTES,
-                    available: len as usize,
-                });
-            }
-            let mut header = [0u8; WAL_HEADER_BYTES];
-            f.seek(SeekFrom::Start(0))?;
-            f.read_exact(&mut header)?;
-            let magic = u64::from_le_bytes(header[0..8].try_into().unwrap());
-            if magic != WAL_MAGIC {
-                return Err(WalError::BadMagic(magic));
-            }
-            let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-            if version != WAL_VERSION {
-                return Err(WalError::BadVersion(version));
-            }
-            len
+            validate_header(&head)?;
+            f.metadata()?.len()
         };
-        let payload = encode_batch(batch);
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        f.write_all(&rec)?;
+        record::put_record(&mut out, &encode_batch(batch));
+        f.write_all(&out)?;
         f.sync_data()?;
         Ok(prior)
     }
@@ -374,45 +344,27 @@ impl Wal {
     /// crash mid-append can leave a torn or corrupt *final* record,
     /// which was by construction never acknowledged (append fsyncs
     /// before returning), so truncating it away loses nothing. The file
-    /// is rewritten to end at the valid prefix. Header-level damage
-    /// (bad magic/version, short header) is still a hard error — that
-    /// is not a torn append. Returns the batches plus whether a repair
-    /// truncation happened.
+    /// is rewritten to end at the valid prefix (empty, for a torn first
+    /// append). Other header damage (bad magic/version, a short file that
+    /// is not a header prefix) is still a hard error — that is not a torn
+    /// append. Returns the batches plus whether a repair truncation
+    /// happened.
     pub fn recover(&self) -> Result<(Vec<Vec<GraphEvent>>, bool), WalError> {
         let bytes = match std::fs::read(&self.path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
             Err(e) => return Err(WalError::Io(e)),
         };
+        if is_torn_header(&bytes) {
+            self.truncate_to(0)?;
+            return Ok((Vec::new(), true));
+        }
         validate_header(&bytes)?;
         let (batches, valid_len, err) = decode_records(&bytes);
         if err.is_some() {
             self.truncate_to(valid_len as u64)?;
         }
         Ok((batches, err.is_some()))
-    }
-
-    /// Replaces the log's contents with exactly `batches` (used by
-    /// rollback paths as well as `append`).
-    pub fn write_all(&self, batches: &[Vec<GraphEvent>]) -> Result<(), WalError> {
-        let mut out = Vec::with_capacity(WAL_HEADER_BYTES);
-        out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-        out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        for batch in batches {
-            let payload = encode_batch(batch);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let tmp = self.path.with_extension("wal.tmp");
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
     }
 
     /// Deletes the log (missing file is fine).
@@ -435,7 +387,13 @@ pub fn decode_wal(bytes: &[u8]) -> Result<Vec<Vec<GraphEvent>>, WalError> {
     }
 }
 
-/// Checks magic + version, the part of the file an append can't tear.
+/// True for what a crash during the first append can leave behind: an
+/// empty file or a strict prefix of [`HEADER`].
+fn is_torn_header(bytes: &[u8]) -> bool {
+    bytes.len() < WAL_HEADER_BYTES && HEADER.starts_with(bytes)
+}
+
+/// Checks magic + version, the part of the file later appends can't tear.
 fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
     if bytes.len() < WAL_HEADER_BYTES {
         return Err(WalError::Truncated { needed: WAL_HEADER_BYTES, available: bytes.len() });
@@ -459,28 +417,20 @@ fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
 fn decode_records(bytes: &[u8]) -> (Vec<Vec<GraphEvent>>, usize, Option<WalError>) {
     let mut batches = Vec::new();
     let mut pos = WAL_HEADER_BYTES;
-    let mut record = 0usize;
     while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            return (batches, pos, Some(WalError::TornTail { offset: pos }));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        // Bound the claimed length by the bytes actually present before
-        // touching the payload — a hostile prefix costs nothing.
-        if len > bytes.len() - pos - 8 {
-            return (batches, pos, Some(WalError::TornTail { offset: pos }));
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != stored {
-            return (batches, pos, Some(WalError::Corrupt { record }));
-        }
+        let record = batches.len();
+        let (payload, used) = match record::take_record(&bytes[pos..], u32::MAX) {
+            Ok(r) => r,
+            Err(RecordError::CrcMismatch { .. }) => {
+                return (batches, pos, Some(WalError::Corrupt { record }))
+            }
+            Err(_) => return (batches, pos, Some(WalError::TornTail { offset: pos })),
+        };
         match decode_batch(payload) {
             Ok(batch) => batches.push(batch),
             Err(what) => return (batches, pos, Some(WalError::BadEvent { record, what })),
         }
-        pos += 8 + len;
-        record += 1;
+        pos += used;
     }
     (batches, pos, None)
 }
@@ -948,55 +898,101 @@ mod tests {
         assert!(got.is_empty() && !repaired);
     }
 
+    /// A one-record WAL image around `payload`, whatever it holds.
+    fn wal_of(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = HEADER.to_vec();
+        record::put_record(&mut bytes, payload);
+        bytes
+    }
+
     #[test]
     fn rejects_bad_event_payloads() {
         // CRC-valid record whose payload claims more events than fit.
         let mut payload = 1000u32.to_le_bytes().to_vec();
         payload.push(1);
-        let mut bytes = WAL_MAGIC.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(decode_wal(&bytes), Err(WalError::BadEvent { record: 0, .. })));
+        assert!(matches!(decode_wal(&wal_of(&payload)), Err(WalError::BadEvent { record: 0, .. })));
 
         // Bad tag.
-        let payload = {
-            let mut p = 1u32.to_le_bytes().to_vec();
-            p.push(9); // no such tag
-            p.extend_from_slice(&[0; 8]);
-            p
-        };
-        let mut bytes = WAL_MAGIC.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.push(9); // no such tag
+        payload.extend_from_slice(&[0; 8]);
         assert!(matches!(
-            decode_wal(&bytes),
+            decode_wal(&wal_of(&payload)),
             Err(WalError::BadEvent { record: 0, what: "bad event tag" })
         ));
 
         // Trailing bytes inside a record.
-        let payload = {
-            let mut p = encode_batch(&[GraphEvent::RemoveEdge { src: 1, dst: 2 }]);
-            p.push(0xEE);
-            p
-        };
-        let mut bytes = WAL_MAGIC.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut payload = encode_batch(&[GraphEvent::RemoveEdge { src: 1, dst: 2 }]);
+        payload.push(0xEE);
         assert!(matches!(
-            decode_wal(&bytes),
+            decode_wal(&wal_of(&payload)),
             Err(WalError::BadEvent { record: 0, what: "trailing bytes after events" })
         ));
     }
 
     #[test]
-    fn crc_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    fn torn_first_append_is_repaired_not_wedged() {
+        let wal = temp_wal("torn-first");
+        let batches = sample_batches();
+        // Every crash point inside the first append's header: append
+        // starts the log afresh, and recover truncates it to empty.
+        for cut in 0..WAL_HEADER_BYTES {
+            std::fs::write(wal.path(), &HEADER[..cut]).unwrap();
+            assert_eq!(wal.recover().unwrap(), (Vec::new(), true), "cut at {cut}");
+            assert_eq!(std::fs::metadata(wal.path()).unwrap().len(), 0);
+
+            std::fs::write(wal.path(), &HEADER[..cut]).unwrap();
+            assert_eq!(wal.append(&batches[0]).unwrap(), WAL_HEADER_BYTES as u64, "cut at {cut}");
+            wal.append(&batches[2]).unwrap();
+            assert_eq!(wal.load().unwrap(), vec![batches[0].clone(), batches[2].clone()]);
+        }
+        // A short file that is not a header prefix is not a torn append.
+        let mut bytes = HEADER[..5].to_vec();
+        bytes[0] ^= 0xFF;
+        std::fs::write(wal.path(), &bytes).unwrap();
+        assert!(matches!(wal.recover(), Err(WalError::Truncated { needed: 12, available: 5 })));
+        assert!(matches!(wal.append(&batches[0]), Err(WalError::Truncated { .. })));
+        assert_eq!(std::fs::read(wal.path()).unwrap(), bytes, "damaged file was modified");
+        wal.clear().unwrap();
+    }
+
+    /// A two-batch log (the second weighted), byte for byte as the format
+    /// has always written it.
+    const GOLDEN_WAL: &str = "4355535057414c0001000000\
+        170000009616bdab02000000010000000001000000000202000000030000001f000000\
+        64d48e8e02000000010700000009000000012a00000003010000000000000005000000";
+
+    fn golden_batches() -> Vec<Vec<GraphEvent>> {
+        vec![
+            vec![
+                GraphEvent::AddEdge { src: 0, dst: 1, weight: None },
+                GraphEvent::RemoveEdge { src: 2, dst: 3 },
+            ],
+            vec![
+                GraphEvent::AddEdge { src: 7, dst: 9, weight: Some(42) },
+                GraphEvent::SetWeight { src: 1, dst: 0, weight: 5 },
+            ],
+        ]
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn golden_bytes_decode_and_reencode() {
+        let golden = unhex(GOLDEN_WAL);
+        assert_eq!(decode_wal(&golden).unwrap(), golden_batches());
+        let wal = temp_wal("golden");
+        wal.clear().unwrap();
+        for b in &golden_batches() {
+            wal.append(b).unwrap();
+        }
+        assert_eq!(std::fs::read(wal.path()).unwrap(), golden);
+        wal.clear().unwrap();
     }
 
     #[test]

@@ -22,9 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use cusp::{metrics::QualityReport, partition_fingerprint, DistGraph, PolicyKind};
+use cusp_graph::record;
 
 use crate::error::ServeError;
-use crate::protocol::{crc32, CacheTier};
+use crate::protocol::CacheTier;
 
 /// Everything that determines a partition's bytes, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -328,27 +329,18 @@ impl PartitionCache {
     }
 }
 
-/// Meta file: `fingerprint u64 | hosts u32 | crc32 u32` (LE), CRC over
-/// the first 12 bytes.
+/// Meta file: `fingerprint u64 | hosts u32` (LE), sealed with a
+/// [`record::seal`] CRC trailer.
 fn write_meta(path: &Path, fingerprint: u64, hosts: u32) -> std::io::Result<()> {
-    let mut body = Vec::with_capacity(16);
-    body.extend_from_slice(&fingerprint.to_le_bytes());
-    body.extend_from_slice(&hosts.to_le_bytes());
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &body)?;
-    std::fs::rename(&tmp, path)
+    let body = [&fingerprint.to_le_bytes()[..], &hosts.to_le_bytes()].concat();
+    record::write_atomic(path, &record::seal(&body))
 }
 
 fn read_meta(path: &Path) -> Option<(u64, u32)> {
     let bytes = std::fs::read(path).ok()?;
-    if bytes.len() != 16 || crc32(&bytes[..12]) != u32::from_le_bytes(bytes[12..16].try_into().ok()?)
-    {
-        return None;
-    }
-    let fingerprint = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
-    let hosts = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
+    let body: &[u8; 12] = record::unseal(&bytes)?.try_into().ok()?;
+    let fingerprint = u64::from_le_bytes(body[0..8].try_into().ok()?);
+    let hosts = u32::from_le_bytes(body[8..12].try_into().ok()?);
     Some((fingerprint, hosts))
 }
 
@@ -529,5 +521,34 @@ mod tests {
         assert_ne!(a.dir_name(), b.dir_name());
         assert_ne!(a.dir_name(), c.dir_name());
         assert!(a.dir_name().starts_with("g0000000000000001-cvc-h4-c0"));
+    }
+
+    #[test]
+    fn meta_golden_bytes_read_and_rewrite() {
+        // Fingerprint 0x0123_4567_89AB_CDEF for 4 hosts, byte for byte as
+        // the format has always written it.
+        let golden: Vec<u8> = (0..32)
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&"efcdab896745230104000000b046804f"[i..i + 2], 16).unwrap())
+            .collect();
+        let root = temp_root("golden-meta");
+        std::fs::create_dir_all(&root).unwrap();
+        let meta = root.join("meta");
+        std::fs::write(&meta, &golden).unwrap();
+        assert_eq!(read_meta(&meta), Some((0x0123_4567_89AB_CDEF, 4)));
+        write_meta(&meta, 0x0123_4567_89AB_CDEF, 4).unwrap();
+        assert_eq!(std::fs::read(&meta).unwrap(), golden);
+        // Every truncation and single-bit flip reads as a miss.
+        for cut in 0..golden.len() {
+            std::fs::write(&meta, &golden[..cut]).unwrap();
+            assert_eq!(read_meta(&meta), None, "cut at {cut}");
+        }
+        for bit in 0..golden.len() * 8 {
+            let mut bad = golden.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&meta, &bad).unwrap();
+            assert_eq!(read_meta(&meta), None, "flip of bit {bit}");
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 }

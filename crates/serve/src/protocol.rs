@@ -4,6 +4,7 @@
 //! ```text
 //! frame:
 //!   magic   u32  0x43_53_52_56  ("CSRV" read as LE bytes 'V''R''S''C')
+//!   then one cusp_graph::record record:
 //!   length  u32  payload byte count (<= the negotiated cap)
 //!   crc32   u32  CRC-32 (IEEE, reflected) of the payload bytes
 //!   payload length bytes
@@ -24,14 +25,17 @@
 
 use std::io::{self, Read, Write};
 
+use cusp_graph::record::{self, RecordError, RecordHeader, RECORD_HEADER_BYTES};
 use cusp_net::{WireError, WireReader, WireWriter};
 
 use crate::error::ProtocolError;
 
 /// Frame magic ("CSRV" in the header doc above).
 pub const MAGIC: u32 = 0x4353_5256;
+/// Magic byte count; the record header follows it.
+const MAGIC_BYTES: usize = 4;
 /// Frame header byte count (magic + length + crc).
-pub const HEADER_BYTES: usize = 12;
+pub const HEADER_BYTES: usize = MAGIC_BYTES + RECORD_HEADER_BYTES;
 /// Default cap on one frame's payload: large enough for a few hundred
 /// million edges' worth of CSR upload, small enough that a hostile length
 /// prefix cannot balloon memory.
@@ -47,19 +51,6 @@ pub const MAX_HOSTS: u32 = 64;
 /// Most events one `apply` batch may carry. Bounds both the decode-side
 /// allocation and the per-request mutation work a tenant can demand.
 pub const MAX_BATCH_EVENTS: usize = 1 << 20;
-
-/// CRC-32 (IEEE, reflected — same polynomial as the checkpoint store).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// How a served partition was obtained — travels in the `Partitioned`
 /// response so clients (and the CI smoke job) can see cache behaviour.
@@ -698,10 +689,31 @@ fn bytes_of(payload: &[u8]) -> bytes::Bytes {
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    record::put_record(&mut out, payload);
     out
+}
+
+/// Checks the magic of a complete frame header.
+fn check_magic(header: &[u8]) -> Result<(), ProtocolError> {
+    let magic = u32::from_le_bytes(header[..MAGIC_BYTES].try_into().unwrap());
+    if magic != MAGIC {
+        return Err(ProtocolError::BadMagic(magic));
+    }
+    Ok(())
+}
+
+/// A record error as the frame error it is: offsets shift by the magic.
+fn frame_error(e: RecordError) -> ProtocolError {
+    match e {
+        RecordError::Truncated { needed, available } => ProtocolError::Truncated {
+            needed: needed + MAGIC_BYTES,
+            available: available + MAGIC_BYTES,
+        },
+        RecordError::Oversize { len, max } => ProtocolError::Oversize { len, max },
+        RecordError::CrcMismatch { stored, actual } => {
+            ProtocolError::CrcMismatch { stored, actual }
+        }
+    }
 }
 
 /// Decodes one frame from the front of `bytes`, returning the payload and
@@ -711,25 +723,10 @@ pub fn decode_frame(bytes: &[u8], max_frame: u32) -> Result<(&[u8], usize), Prot
     if bytes.len() < HEADER_BYTES {
         return Err(ProtocolError::Truncated { needed: HEADER_BYTES, available: bytes.len() });
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > max_frame {
-        return Err(ProtocolError::Oversize { len, max: max_frame });
-    }
-    let stored = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let total = HEADER_BYTES + len as usize;
-    if bytes.len() < total {
-        return Err(ProtocolError::Truncated { needed: total, available: bytes.len() });
-    }
-    let payload = &bytes[HEADER_BYTES..total];
-    let actual = crc32(payload);
-    if actual != stored {
-        return Err(ProtocolError::CrcMismatch { stored, actual });
-    }
-    Ok((payload, total))
+    check_magic(bytes)?;
+    let (payload, used) =
+        record::take_record(&bytes[MAGIC_BYTES..], max_frame).map_err(frame_error)?;
+    Ok((payload, MAGIC_BYTES + used))
 }
 
 /// What [`read_frame`] can yield besides a payload.
@@ -781,30 +778,21 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Vec<u8>, RecvErro
             Err(e) => return Err(RecvError::Io(e)),
         }
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(RecvError::Protocol(ProtocolError::BadMagic(magic)));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > max_frame {
-        return Err(RecvError::Protocol(ProtocolError::Oversize { len, max: max_frame }));
-    }
-    let stored = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    let mut payload = vec![0u8; len as usize];
+    check_magic(&header).map_err(RecvError::Protocol)?;
+    let rec = RecordHeader::parse(&header[MAGIC_BYTES..], max_frame)
+        .map_err(|e| RecvError::Protocol(frame_error(e)))?;
+    let mut payload = vec![0u8; rec.len as usize];
     if let Err(e) = r.read_exact(&mut payload) {
         return if e.kind() == io::ErrorKind::UnexpectedEof {
             Err(RecvError::Protocol(ProtocolError::Truncated {
-                needed: HEADER_BYTES + len as usize,
+                needed: HEADER_BYTES + rec.len as usize,
                 available: HEADER_BYTES,
             }))
         } else {
             Err(RecvError::Io(e))
         };
     }
-    let actual = crc32(&payload);
-    if actual != stored {
-        return Err(RecvError::Protocol(ProtocolError::CrcMismatch { stored, actual }));
-    }
+    rec.verify(&payload).map_err(|e| RecvError::Protocol(frame_error(e)))?;
     Ok(payload)
 }
 
@@ -1036,11 +1024,5 @@ mod tests {
             Request::decode(&w.finish()),
             Err(ProtocolError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn crc_is_the_checkpoint_polynomial() {
-        // Same known-answer vector the checkpoint store pins.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

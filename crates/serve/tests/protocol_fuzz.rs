@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 
+use cusp_graph::record::crc32;
 use cusp_serve::error::ProtocolError;
 use cusp_serve::protocol::{
-    crc32, decode_frame, encode_frame, Request, Response, DEFAULT_MAX_FRAME, HEADER_BYTES, MAGIC,
+    decode_frame, encode_frame, Request, Response, DEFAULT_MAX_FRAME, HEADER_BYTES, MAGIC,
 };
 
 /// A modest frame cap for tests so Oversize is reachable with small
