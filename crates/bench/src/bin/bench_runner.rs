@@ -8,7 +8,7 @@
 //!   the shipped defaults, the recorded pre-PR wall, the speedup between
 //!   them, and the per-phase breakdown of the optimized run.
 //! * **Codec throughput** (MB/s) for the bulk u32/u64 slice paths and
-//!   the scalar ablation.
+//!   the element-by-element loop they replace.
 //! * **Memory**: `peak_resident_edges` and the chunk-arena high-water
 //!   footprint.
 //! * **Obs overhead**: traced vs untraced wall on the same config.
@@ -130,7 +130,6 @@ fn main() {
         ("optimized", optimized.clone()),
         ("prefetch-off", CuspConfig { prefetch: false, ..optimized.clone() }),
         ("arena-off", CuspConfig { arena_reuse: false, ..optimized.clone() }),
-        ("scalar-codec", CuspConfig { scalar_codec: true, ..optimized.clone() }),
         ("monolithic", CuspConfig { chunk_edges: None, ..optimized.clone() }),
     ];
     let mut ablation_rows = Vec::new();

@@ -13,76 +13,49 @@
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
 //! skip-scanning record headers in O(records), and destination runs are
 //! decoded straight from the received payload into the record's reserved
-//! CSR slots (weights are a straight memcpy). The wire format is identical
-//! to the element-by-element encoding — `CuspConfig::scalar_codec` keeps
-//! the scalar path around as an ablation and parity check.
+//! CSR slots (weights are a straight memcpy). The bytes equal an
+//! element-by-element encoding of the same records; the golden traffic
+//! test (`tests/golden_traffic.rs`) pins them.
+//!
+//! The phase has two halves, both shared with the delta path:
+//! `route_edges`, the route/send/drain/insert loop over the edges an
+//! `EdgeFilter` admits, and `finish`, which freezes the filled
+//! allocation into the output CSR or CSC.
 
 use std::sync::atomic::Ordering;
 
-use cusp_galois::{do_all_items, do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{do_all_items, PerThread, ThreadPool};
 use cusp_graph::{Csr, Node};
 use cusp_net::{Comm, SendBuffers, WireReader};
 
 use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::AllocOutcome;
-use crate::phases::master::ResolvedMasters;
-use crate::phases::pipeline::SliceData;
-use crate::policy::{EdgeRule, Setup};
+use crate::phases::pipeline::{for_each_source, EdgeFilter, EdgeWalk, SliceData};
+use crate::policy::EdgeRule;
 use crate::props::LocalProps;
-use crate::state::PartitionState;
 use crate::tags::TAG_EDGES;
 
-/// A raw-pointer window over the destination buffer so pool workers can
-/// fill disjoint slot ranges concurrently.
-pub(crate) struct DestPtr(pub(crate) *mut Node);
-unsafe impl Send for DestPtr {}
-unsafe impl Sync for DestPtr {}
-impl DestPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut Node {
-        self.0
-    }
-}
-
-/// Same, for the optional per-edge data buffer (null when unweighted).
-pub(crate) struct DataPtr(pub(crate) *mut u32);
-unsafe impl Send for DataPtr {}
-unsafe impl Sync for DataPtr {}
-impl DataPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut u32 {
-        self.0
-    }
-}
-
-/// Runs the construction phase and returns the local CSR (or CSC).
+/// Routes every edge of the read range that `filter` admits to its owner:
+/// owned edges go straight into `slots`, remote ones are serialized into
+/// per-thread, per-destination buffers that flush at every chunk boundary,
+/// and arriving records are drained and inserted until `to_receive` edges
+/// have arrived. This is the only code that writes or receives edge
+/// records.
 #[allow(clippy::too_many_arguments)]
-pub fn construct<ER: EdgeRule>(
+pub(crate) fn route_edges<ER: EdgeRule, F: EdgeFilter>(
     comm: &Comm,
     pool: &ThreadPool,
-    setup: &Setup,
     data: &mut SliceData,
-    masters: &ResolvedMasters,
-    rule: &ER,
-    estate: &ER::State,
-    alloc: &mut AllocOutcome,
+    walk: &EdgeWalk<'_, ER>,
+    filter: &F,
+    slots: &Slots<'_>,
     to_receive: u64,
     cfg: &CuspConfig,
-) -> (Csr, Option<Vec<u32>>) {
+) {
     let me = comm.host();
     let k = comm.num_hosts();
-    let weighted = data.weighted();
-    let scalar = cfg.scalar_codec;
-    debug_assert_eq!(weighted, alloc.edge_data.is_some());
-
-    let dest_ptr = DestPtr(alloc.dests.as_mut_ptr());
-    let data_ptr = DataPtr(
-        alloc
-            .edge_data
-            .as_mut()
-            .map_or(std::ptr::null_mut(), |d| d.as_mut_ptr()),
-    );
-    let alloc_ref: &AllocOutcome = alloc;
+    let weighted = slots.weighted();
+    let EdgeWalk { setup, masters, rule, estate } = *walk;
 
     // Per-thread send buffers and per-destination bucket scratch,
     // allocated once for the whole phase (buckets are cleared per node,
@@ -98,8 +71,35 @@ pub fn construct<ER: EdgeRule>(
         wbuckets: vec![Vec::new(); k],
     });
 
+    // Receives edge records until `to_receive` edges have arrived — or,
+    // unless `block`, until nothing more is waiting — and inserts each
+    // backlog; do_all_items runs one- or two-message batches inline on
+    // this thread and deserializes larger ones in parallel (§IV-C3).
     let mut received = 0u64;
     let mut batch: Vec<bytes::Bytes> = Vec::new();
+    let insert = |batch: &mut Vec<bytes::Bytes>| {
+        do_all_items(pool, batch, 1, |payload| slots.insert_message(payload.clone()));
+        batch.clear();
+    };
+    let mut drain = |block: bool| {
+        while received < to_receive {
+            let next = if block && batch.is_empty() {
+                Some(comm.recv_any(TAG_EDGES))
+            } else {
+                comm.try_recv_any(TAG_EDGES)
+            };
+            match next {
+                Some((_src, payload)) => {
+                    received += edges_in(&payload, weighted);
+                    batch.push(payload);
+                }
+                None if block => insert(&mut batch),
+                None => break,
+            }
+        }
+        insert(&mut batch);
+        received
+    };
 
     // The source edges stream through one bounded chunk at a time (a whole
     // slice is a single chunk): replay, flush, and opportunistically drain
@@ -112,6 +112,7 @@ pub fn construct<ER: EdgeRule>(
             if edges.is_empty() {
                 return;
             }
+            let all = filter.all_of(s);
             let sm = masters.of(s);
             let edge_data = chunk.edge_data(s);
             threads.with(tid, |ts| {
@@ -122,6 +123,9 @@ pub fn construct<ER: EdgeRule>(
                     b.clear();
                 }
                 for (i, &d) in edges.iter().enumerate() {
+                    if !all && !filter.admits(d) {
+                        continue;
+                    }
                     let dm = masters.of(d);
                     let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
                     ts.buckets[h as usize].push(d);
@@ -135,96 +139,45 @@ pub fn construct<ER: EdgeRule>(
                     }
                     let wbucket = weighted.then(|| ts.wbuckets[h].as_slice());
                     if h == me {
-                        insert_record(alloc_ref, &dest_ptr, &data_ptr, s, bucket, wbucket);
+                        slots.insert_record(s, bucket, wbucket);
                     } else {
                         ts.buffers.record(comm, h, |w| {
                             w.put_u32(s);
                             w.put_u32(bucket.len() as u32);
-                            if scalar {
-                                for &d in bucket {
-                                    w.put_u32(d);
-                                }
-                                if let Some(ws) = wbucket {
-                                    for &x in ws {
-                                        w.put_u32(x);
-                                    }
-                                }
-                            } else {
-                                // Raw runs: same bytes as the scalar writes,
-                                // one memcpy per run instead of a call per edge.
-                                w.put_u32_raw_slice(bucket);
-                                if let Some(ws) = wbucket {
-                                    w.put_u32_raw_slice(ws);
-                                }
+                            w.put_u32_raw_slice(bucket);
+                            if let Some(ws) = wbucket {
+                                w.put_u32_raw_slice(ws);
                             }
                         });
                     }
                 }
             });
         };
-
-        if ER::State::STATELESS {
-            do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, process);
-        } else {
-            // Deterministic replay for stateful edge rules (same node order
-            // as edge assignment, within and across chunks).
-            for j in 0..chunk.num_nodes() {
-                process(0, j);
-            }
-        }
+        // Same node order as edge assignment: a stateful rule's replay
+        // repeats its decisions.
+        for_each_source::<ER::State>(pool, chunk.num_nodes(), process);
 
         // Flush residual buffers from every thread, so in-flight serialized
         // edges never accumulate beyond the chunk just processed.
         for ts in threads.iter_mut() {
             ts.buffers.flush_all(comm);
         }
-
-        // Opportunistically drain records that already arrived, so the
-        // receive queue cannot grow to hold a whole remote slice.
-        while received < to_receive {
-            match comm.try_recv_any(TAG_EDGES) {
-                Some((_s, p)) => {
-                    received += count_edges_in(&p, weighted, scalar);
-                    batch.push(p);
-                }
-                None => break,
-            }
-        }
-        if !batch.is_empty() {
-            do_all_items(pool, &batch, 1, |payload| {
-                insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-            });
-            batch.clear();
-        }
+        // Drain records that already arrived, so the receive queue cannot
+        // grow to hold a whole remote slice.
+        drain(false);
     });
     drop(threads);
 
-    // Block for the remaining edge records; batches of messages are
-    // deserialized and inserted in parallel (§IV-C3).
-    while received < to_receive {
-        let (_src, payload) = comm.recv_any(TAG_EDGES);
-        received += count_edges_in(&payload, weighted, scalar);
-        batch.push(payload);
-        // Opportunistically grab whatever else already arrived.
-        while received < to_receive {
-            match comm.try_recv_any(TAG_EDGES) {
-                Some((_s, p)) => {
-                    received += count_edges_in(&p, weighted, scalar);
-                    batch.push(p);
-                }
-                None => break,
-            }
-        }
-        // do_all_items runs one- or two-message batches inline on this
-        // thread; larger backlogs are deserialized in parallel.
-        do_all_items(pool, &batch, 1, |payload| {
-            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-        });
-        batch.clear();
-    }
+    // Block for the remaining edge records.
+    let received = drain(true);
     assert_eq!(received, to_receive, "received more edges than expected");
+}
 
-    // Every reserved slot must be filled.
+/// Freezes a filled allocation into the phase output: checks that every
+/// reserved slot was written, sorts each adjacency under
+/// `deterministic_sync`, and returns the CSR — or its in-memory CSC
+/// transpose — with the aligned edge data.
+pub(crate) fn finish(alloc: &mut AllocOutcome, cfg: &CuspConfig) -> (Csr, Option<Vec<u32>>) {
     for (l, cursor) in alloc.cursors.iter().enumerate() {
         assert_eq!(
             cursor.load(Ordering::Relaxed),
@@ -258,7 +211,7 @@ pub fn construct<ER: EdgeRule>(
 
 /// Sorts each node's adjacency slice (keeping per-edge data aligned) into
 /// (destination, weight) order.
-pub(crate) fn sort_adjacency(offsets: &[u64], dests: &mut [Node], mut data: Option<&mut [u32]>) {
+fn sort_adjacency(offsets: &[u64], dests: &mut [Node], mut data: Option<&mut [u32]>) {
     for l in 0..offsets.len() - 1 {
         let (s, e) = (offsets[l] as usize, offsets[l + 1] as usize);
         match data.as_deref_mut() {
@@ -276,56 +229,104 @@ pub(crate) fn sort_adjacency(offsets: &[u64], dests: &mut [Node], mut data: Opti
     }
 }
 
-/// Reserves `cnt` contiguous CSR slots for a record of `src` and returns
-/// the first slot index.
-#[inline]
-pub(crate) fn reserve_slots(alloc: &AllocOutcome, src: Node, cnt: usize) -> usize {
-    let ls = alloc.local_of(src) as usize;
-    let slot = alloc.cursors[ls].fetch_add(cnt as u64, Ordering::Relaxed);
-    assert!(
-        slot + cnt as u64 <= alloc.offsets[ls + 1],
-        "edge overflow for source {src}: assignment and construction disagree"
-    );
-    slot as usize
+/// Shared write access to an allocation's reserved CSR slots, so pool
+/// workers can fill disjoint slot ranges concurrently: each record claims
+/// its range with a fetch-add on its source's cursor.
+pub(crate) struct Slots<'a> {
+    alloc: &'a AllocOutcome,
+    dests: *mut Node,
+    /// Null when the allocation carries no edge data.
+    data: *mut u32,
 }
 
-/// Inserts one record's destinations (and optional per-edge data) into the
-/// preallocated CSR, converting global destination ids to local ids.
-#[inline]
-pub(crate) fn insert_record(
-    alloc: &AllocOutcome,
-    dest_ptr: &DestPtr,
-    data_ptr: &DataPtr,
-    src: Node,
-    dsts: &[Node],
-    weights: Option<&[u32]>,
-) {
-    let slot = reserve_slots(alloc, src, dsts.len());
-    for (off, &d) in dsts.iter().enumerate() {
-        let ld = alloc.local_of(d);
-        // SAFETY: slots [slot, slot + len) were exclusively reserved by the
-        // fetch_add above; no other thread writes them.
-        unsafe {
-            *dest_ptr.get().add(slot + off) = ld;
+// SAFETY: `alloc` is a shared reference to a type whose shared state
+// (the cursors) is atomic. `dests` and `data` point into buffers `alloc`
+// owns and nothing else borrows while the `Slots` lives; they are written
+// only inside ranges claimed by `reserve`, which hands each slot to
+// exactly one record and checks the range lies within the buffers.
+unsafe impl Send for Slots<'_> {}
+unsafe impl Sync for Slots<'_> {}
+
+impl<'a> Slots<'a> {
+    pub(crate) fn new(alloc: &'a mut AllocOutcome) -> Self {
+        let dests = alloc.dests.as_mut_ptr();
+        let data = alloc.edge_data.as_mut().map_or(std::ptr::null_mut(), |d| d.as_mut_ptr());
+        Slots { alloc, dests, data }
+    }
+
+    fn weighted(&self) -> bool {
+        !self.data.is_null()
+    }
+
+    /// Reserves `cnt` contiguous slots for a record of `src` and returns
+    /// the first slot index.
+    #[inline]
+    fn reserve(&self, src: Node, cnt: usize) -> usize {
+        let alloc = self.alloc;
+        let ls = alloc.local_of(src) as usize;
+        let slot = alloc.cursors[ls].fetch_add(cnt as u64, Ordering::Relaxed);
+        assert!(
+            slot + cnt as u64 <= alloc.offsets[ls + 1],
+            "edge overflow for source {src}: assignment and construction disagree"
+        );
+        slot as usize
+    }
+
+    /// Inserts one record's destinations (and optional per-edge data),
+    /// converting global destination ids to local ids.
+    #[inline]
+    pub(crate) fn insert_record(&self, src: Node, dsts: &[Node], weights: Option<&[u32]>) {
+        let slot = self.reserve(src, dsts.len());
+        for (off, &d) in dsts.iter().enumerate() {
+            // SAFETY: slots [slot, slot + len) were exclusively reserved
+            // above; no other thread writes them.
+            unsafe {
+                *self.dests.add(slot + off) = self.alloc.local_of(d);
+            }
+        }
+        if let Some(ws) = weights {
+            assert!(
+                self.weighted() && ws.len() == dsts.len(),
+                "edge data does not match its record"
+            );
+            // SAFETY: same exclusively reserved slots, edge-data buffer
+            // (present and as long as `dests`, checked just above).
+            unsafe {
+                std::ptr::copy_nonoverlapping(ws.as_ptr(), self.data.add(slot), ws.len());
+            }
         }
     }
-    if let Some(ws) = weights {
-        debug_assert_eq!(ws.len(), dsts.len());
-        for (off, &x) in ws.iter().enumerate() {
-            // SAFETY: same exclusively reserved slots as above.
-            unsafe {
-                *data_ptr.get().add(slot + off) = x;
+
+    /// Deserializes a message of records and inserts them, zero-copy: each
+    /// record's destination run is decoded from the payload directly into
+    /// its reserved slots and localized in place, and the weight run is a
+    /// straight memcpy into the edge-data slots.
+    fn insert_message(&self, payload: bytes::Bytes) {
+        let mut r = WireReader::new(payload);
+        while !r.is_exhausted() {
+            let src = r.get_u32().expect("malformed edge record");
+            let cnt = r.get_u32().expect("malformed edge record") as usize;
+            let slot = self.reserve(src, cnt);
+            // SAFETY: slots [slot, slot + cnt) were exclusively reserved
+            // above; no other thread touches them.
+            let dst_slots = unsafe { std::slice::from_raw_parts_mut(self.dests.add(slot), cnt) };
+            r.get_u32_into(dst_slots).expect("malformed edge record");
+            for d in dst_slots.iter_mut() {
+                *d = self.alloc.local_of(*d);
+            }
+            if self.weighted() {
+                // SAFETY: same exclusively reserved slots, edge-data buffer.
+                let data_slots =
+                    unsafe { std::slice::from_raw_parts_mut(self.data.add(slot), cnt) };
+                r.get_u32_into(data_slots).expect("malformed edge record");
             }
         }
     }
 }
 
-/// Total edges carried by a message (sum of record counts).
-///
-/// Bulk mode skip-scans the record headers — O(records), not O(edges) —
-/// since the run lengths alone determine the total. Scalar mode decodes
-/// every element (the pre-bulk behavior, kept for the ablation).
-pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool, scalar: bool) -> u64 {
+/// Total edges carried by a message: skip-scans the record headers —
+/// O(records), not O(edges) — since the run lengths alone determine it.
+fn edges_in(payload: &bytes::Bytes, weighted: bool) -> u64 {
     let mut r = WireReader::new(payload.clone());
     let per_edge = if weighted { 2 } else { 1 };
     let mut total = 0u64;
@@ -333,74 +334,7 @@ pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool, scalar: boo
         let _src = r.get_u32().expect("malformed edge record");
         let cnt = r.get_u32().expect("malformed edge record") as u64;
         total += cnt;
-        if scalar {
-            for _ in 0..cnt * per_edge {
-                let _ = r.get_u32().expect("malformed edge record");
-            }
-        } else {
-            r.skip((cnt * per_edge) as usize * 4).expect("malformed edge record");
-        }
+        r.skip((cnt * per_edge) as usize * 4).expect("malformed edge record");
     }
     total
-}
-
-/// Deserializes a full message of records and inserts them.
-///
-/// Bulk mode is zero-copy: each record's destination run is decoded from
-/// the payload directly into its reserved CSR slots and localized in place,
-/// and the weight run is a straight memcpy into the edge-data slots — no
-/// intermediate `Vec` is materialized.
-pub(crate) fn insert_message(
-    alloc: &AllocOutcome,
-    dest_ptr: &DestPtr,
-    data_ptr: &DataPtr,
-    payload: bytes::Bytes,
-    weighted: bool,
-    scalar: bool,
-) {
-    let mut r = WireReader::new(payload);
-    if scalar {
-        let mut dsts: Vec<Node> = Vec::new();
-        let mut ws: Vec<u32> = Vec::new();
-        while !r.is_exhausted() {
-            let src = r.get_u32().expect("malformed edge record");
-            let cnt = r.get_u32().expect("malformed edge record") as usize;
-            dsts.clear();
-            dsts.reserve(cnt);
-            for _ in 0..cnt {
-                dsts.push(r.get_u32().expect("malformed edge record"));
-            }
-            let weights = if weighted {
-                ws.clear();
-                ws.reserve(cnt);
-                for _ in 0..cnt {
-                    ws.push(r.get_u32().expect("malformed edge record"));
-                }
-                Some(ws.as_slice())
-            } else {
-                None
-            };
-            insert_record(alloc, dest_ptr, data_ptr, src, &dsts, weights);
-        }
-        return;
-    }
-    while !r.is_exhausted() {
-        let src = r.get_u32().expect("malformed edge record");
-        let cnt = r.get_u32().expect("malformed edge record") as usize;
-        let slot = reserve_slots(alloc, src, cnt);
-        // SAFETY: slots [slot, slot + cnt) were exclusively reserved by
-        // reserve_slots; no other thread touches them.
-        let dst_slots =
-            unsafe { std::slice::from_raw_parts_mut(dest_ptr.get().add(slot), cnt) };
-        r.get_u32_into(dst_slots).expect("malformed edge record");
-        for d in dst_slots.iter_mut() {
-            *d = alloc.local_of(*d);
-        }
-        if weighted {
-            // SAFETY: same exclusively reserved slots, edge-data buffer.
-            let data_slots =
-                unsafe { std::slice::from_raw_parts_mut(data_ptr.get().add(slot), cnt) };
-            r.get_u32_into(data_slots).expect("malformed edge record");
-        }
-    }
 }

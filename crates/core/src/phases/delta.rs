@@ -47,24 +47,23 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use cusp_galois::{do_all_items, do_all_with_tid, PerThread, DEFAULT_GRAIN};
+use cusp_galois::{do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Csr, GraphEvent, Node};
-use cusp_net::{Comm, SendBuffers, WireReader, WireWriter};
+use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::OutputFormat;
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::MasterSpec;
-use crate::phases::construct::{
-    count_edges_in, insert_message, insert_record, sort_adjacency, DataPtr, DestPtr,
-};
+use crate::phases::alloc::{AllocOutcome, MasterSpec};
+use crate::phases::construct::{finish, route_edges, Slots};
 use crate::phases::driver::{partition, PartitionOutput};
-use crate::phases::edge_assign::EdgeAssignOutcome;
-use crate::phases::master::{pure_masters, ResolvedMasters};
-use crate::phases::pipeline::{AllocPhase, Phase, PhaseCtx, ReadPhase, SliceData};
+use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome};
+use crate::phases::master::pure_masters;
+use crate::phases::pipeline::{
+    AllocPhase, EdgeFilter, EdgeWalk, Phase, PhaseCtx, ReadPhase, SliceData,
+};
 use crate::policy::{EdgeRule, MasterRule, Setup};
-use crate::props::LocalProps;
 use crate::state::PartitionState;
-use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META, TAG_EDGES};
+use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::{CuspConfig, GraphSource, PartId};
 
 /// Dense bitset over global vertex ids marking the dirty set.
@@ -108,6 +107,60 @@ impl DirtySet {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
+}
+
+/// The delta walk: an edge is re-decided iff either endpoint is dirty.
+impl EdgeFilter for DirtySet {
+    #[inline]
+    fn all_of(&self, s: Node) -> bool {
+        self.contains(s)
+    }
+    #[inline]
+    fn admits(&self, d: Node) -> bool {
+        self.contains(d)
+    }
+}
+
+/// Calls `f(row, others, data)` once per row of `prev` that keeps an edge
+/// (both endpoints clean), in parallel over the rows: `row` is the row's
+/// global id, `others` the global ids at the far end of its kept edges,
+/// and `data` their edge data when `prev` is weighted. Rows are sources in
+/// a CSR partition and destinations in a CSC one (`OutputFormat::Csc`).
+fn for_each_kept_row(
+    pool: &ThreadPool,
+    prev: &DistGraph,
+    dirty: &DirtySet,
+    f: impl Fn(Node, &[Node], Option<&[u32]>) + Sync,
+) {
+    let scratch: PerThread<(Vec<Node>, Vec<u32>)> = PerThread::new(pool, |_| Default::default());
+    do_all_with_tid(pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
+        let edges = prev.graph.edges(row as Node);
+        if edges.is_empty() {
+            return;
+        }
+        let g_row = prev.local2global[row];
+        if dirty.contains(g_row) {
+            return; // every edge of a dirty row has a dirty endpoint
+        }
+        let e0 = prev.graph.first_edge(row as Node) as usize;
+        scratch.with(tid, |(others, ws)| {
+            others.clear();
+            ws.clear();
+            for (i, &other) in edges.iter().enumerate() {
+                let g_other = prev.local2global[other as usize];
+                if dirty.contains(g_other) {
+                    continue;
+                }
+                others.push(g_other);
+                if let Some(d) = &prev.edge_data {
+                    ws.push(d[e0 + i]);
+                }
+            }
+            if !others.is_empty() {
+                f(g_row, others, prev.edge_data.as_ref().map(|_| ws.as_slice()));
+            }
+        });
+    });
 }
 
 /// Computes the dirty set for `batch` against the old/new pure master
@@ -156,10 +209,7 @@ struct DeltaAssignOutcome {
 /// partition locally and exchanges only the dirty-edge metadata — sparse
 /// `(src, count)` pairs instead of the full positional count vectors.
 struct DeltaAssignPhase<'a, ER: EdgeRule> {
-    setup: &'a Setup,
-    masters: &'a ResolvedMasters,
-    rule: &'a ER,
-    estate: &'a ER::State,
+    walk: &'a EdgeWalk<'a, ER>,
     prev: &'a DistGraph,
     prev_csc: bool,
     dirty: &'a DirtySet,
@@ -176,7 +226,7 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         let k = comm.num_hosts();
         let lo = data.node_lo();
         let local_n = data.num_nodes();
-        let masters = self.masters;
+        let masters = self.walk.masters;
         let dirty = self.dirty;
 
         // --- Kept (clean) edges from the previous partition. -------------
@@ -185,106 +235,44 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         // node count keep the walk a lock-free parallel pass: `incoming[v]`
         // counts kept edges sourced at `v`, `mirror_bits` marks proxies
         // mastered elsewhere (deduplication by construction — no sort).
-        let n_glob = self.setup.num_nodes as usize;
+        let n_glob = self.walk.setup.num_nodes as usize;
         let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
         let mirror_bits: Vec<AtomicU64> =
             (0..n_glob.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         let mark_mirror = |v: Node| {
             mirror_bits[v as usize / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
         };
-        let prev = self.prev;
         let csc = self.prev_csc;
         let reused_total = AtomicU64::new(0);
-        do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
-            let edges = prev.graph.edges(row as Node);
-            if edges.is_empty() {
-                return;
-            }
-            let g_row = prev.local2global[row];
-            if dirty.contains(g_row) {
-                return; // every edge of a dirty row has a dirty endpoint
-            }
-            let mut kept = 0u32;
+        for_each_kept_row(&ctx.pool, self.prev, dirty, |row, others, _| {
+            reused_total.fetch_add(others.len() as u64, Ordering::Relaxed);
             if !csc {
                 // Row is the source: one tally update covers the whole run.
-                for &other in edges {
-                    let g_other = prev.local2global[other as usize];
-                    if dirty.contains(g_other) {
-                        continue;
+                incoming[row as usize].fetch_add(others.len() as u32, Ordering::Relaxed);
+                for &d in others {
+                    if masters.of(d) as usize != me {
+                        mark_mirror(d);
                     }
-                    kept += 1;
-                    if masters.of(g_other) as usize != me {
-                        mark_mirror(g_other);
-                    }
-                }
-                if kept > 0 {
-                    incoming[g_row as usize].fetch_add(kept, Ordering::Relaxed);
                 }
             } else {
                 // Row is the destination: tally each stored source; the
                 // mirror check applies to the row itself, once.
-                for &other in edges {
-                    let g_other = prev.local2global[other as usize];
-                    if dirty.contains(g_other) {
-                        continue;
-                    }
-                    kept += 1;
-                    incoming[g_other as usize].fetch_add(1, Ordering::Relaxed);
+                for &s in others {
+                    incoming[s as usize].fetch_add(1, Ordering::Relaxed);
                 }
-                if kept > 0 && masters.of(g_row) as usize != me {
-                    mark_mirror(g_row);
+                if masters.of(row) as usize != me {
+                    mark_mirror(row);
                 }
-            }
-            if kept > 0 {
-                reused_total.fetch_add(kept as u64, Ordering::Relaxed);
             }
         });
         let reused_edges = reused_total.load(Ordering::Relaxed);
 
         // --- Dirty edges from the mutated slice (local tally). ------------
-        // Same positional tally as the full phase, but only edges with a
-        // dirty endpoint are decided; clean edges are skipped unseen.
-        let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
-        let mirror_lists: PerThread<Vec<(PartId, Node)>> =
-            PerThread::new(&ctx.pool, |_| Vec::new());
-        data.for_each_chunk(|chunk| {
-            let prop = LocalProps::new(
-                self.setup.num_nodes,
-                self.setup.num_edges,
-                self.setup.parts,
-                chunk,
-            );
-            let base = (chunk.node_lo - lo) as usize;
-            do_all_with_tid(&ctx.pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, j| {
-                let s = chunk.node_lo + j as Node;
-                let edges = chunk.edges(s);
-                if edges.is_empty() {
-                    return;
-                }
-                let s_dirty = dirty.contains(s);
-                let sm = masters.of(s);
-                mirror_lists.with(tid, |out| {
-                    for &d in edges {
-                        if !s_dirty && !dirty.contains(d) {
-                            continue;
-                        }
-                        let dm = masters.of(d);
-                        let h = self.rule.get_edge_owner(&prop, s, d, sm, dm, self.estate);
-                        debug_assert!(h < self.setup.parts);
-                        counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
-                        if h != dm {
-                            out.push((h, d));
-                        }
-                    }
-                });
-            });
-        });
-        let mut flat: Vec<(PartId, Node)> =
-            mirror_lists.into_inner().into_iter().flatten().collect();
-        flat.sort_unstable();
-        flat.dedup();
+        // The full phase's tally, walking only edges with a dirty endpoint.
+        let tally = tally_edges(&ctx.pool, data, self.walk, dirty);
+        let counts = tally.counts;
         let mut mirrors_for: Vec<Vec<Node>> = vec![Vec::new(); k];
-        for (h, d) in flat {
+        for (h, d) in tally.mirrors {
             mirrors_for[h as usize].push(d);
         }
 
@@ -387,47 +375,11 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
     }
 }
 
-/// Invokes `f(src, dst, edge_index)` (global ids, previous-partition edge
-/// index) for every edge of `prev` whose endpoints are both clean.
-///
-/// `csc` says the previous partition stores in-edges (the
-/// `OutputFormat::Csc` transpose), in which case each row is the edge's
-/// *destination* and each stored id its source.
-fn for_each_kept_edge(
-    prev: &DistGraph,
-    csc: bool,
-    dirty: &DirtySet,
-    mut f: impl FnMut(Node, Node, usize),
-) {
-    for row in 0..prev.num_local() {
-        let edges = prev.graph.edges(row as Node);
-        if edges.is_empty() {
-            continue;
-        }
-        let g_row = prev.local2global[row];
-        if dirty.contains(g_row) {
-            continue; // every edge of a dirty row has a dirty endpoint
-        }
-        let e0 = prev.graph.first_edge(row as Node) as usize;
-        for (i, &other) in edges.iter().enumerate() {
-            let g_other = prev.local2global[other as usize];
-            if dirty.contains(g_other) {
-                continue;
-            }
-            let (src, dst) = if csc { (g_other, g_row) } else { (g_row, g_other) };
-            f(src, dst, e0 + i);
-        }
-    }
-}
-
 /// Delta construction: copies kept edges out of the previous partition
-/// (no decision, no communication) and streams only dirty edges through
-/// the wire protocol — byte-identical record format to the full phase.
+/// (no decision, no communication), then routes only dirty edges through
+/// the full phase's loop — byte-identical record format.
 struct DeltaConstructPhase<'a, ER: EdgeRule> {
-    setup: &'a Setup,
-    masters: &'a ResolvedMasters,
-    rule: &'a ER,
-    estate: &'a ER::State,
+    walk: &'a EdgeWalk<'a, ER>,
     prev: &'a DistGraph,
     prev_csc: bool,
     dirty: &'a DirtySet,
@@ -436,252 +388,40 @@ struct DeltaConstructPhase<'a, ER: EdgeRule> {
 
 impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
     const NAME: &'static str = "construct";
-    type Input = (&'a mut SliceData, &'a mut crate::phases::alloc::AllocOutcome);
+    type Input = (&'a mut SliceData, &'a mut AllocOutcome);
     type Output = (Csr, Option<Vec<u32>>);
 
     fn run(self, ctx: &mut PhaseCtx<'_>, (data, alloc): Self::Input) -> Self::Output {
-        let comm = ctx.comm;
-        let me = comm.host();
-        let k = comm.num_hosts();
-        let weighted = data.weighted();
-        let scalar = ctx.cfg.scalar_codec;
-        let dirty = self.dirty;
-        let masters = self.masters;
-        debug_assert_eq!(weighted, alloc.edge_data.is_some());
-        debug_assert_eq!(weighted, self.prev.edge_data.is_some());
+        debug_assert_eq!(data.weighted(), alloc.edge_data.is_some());
+        debug_assert_eq!(data.weighted(), self.prev.edge_data.is_some());
+        let slots = Slots::new(alloc);
 
-        let dest_ptr = DestPtr(alloc.dests.as_mut_ptr());
-        let data_ptr = DataPtr(
-            alloc
-                .edge_data
-                .as_mut()
-                .map_or(std::ptr::null_mut(), |d| d.as_mut_ptr()),
+        // Copy kept edges: pure memory movement into the freshly reserved
+        // slots — no rule, no wire.
+        let csc = self.prev_csc;
+        for_each_kept_row(&ctx.pool, self.prev, self.dirty, |row, others, ws| {
+            if !csc {
+                // Row is the source: its kept run is one record.
+                slots.insert_record(row, others, ws);
+            } else {
+                // Row is the destination: each stored source is a record.
+                for (i, &s) in others.iter().enumerate() {
+                    slots.insert_record(s, std::slice::from_ref(&row), ws.map(|w| &w[i..=i]));
+                }
+            }
+        });
+
+        route_edges(
+            ctx.comm,
+            &ctx.pool,
+            data,
+            self.walk,
+            self.dirty,
+            &slots,
+            self.to_receive,
+            ctx.cfg,
         );
-        let alloc_ref: &crate::phases::alloc::AllocOutcome = alloc;
-
-        // --- 1. Copy kept edges from the previous partition. --------------
-        // Pure memory movement: globalize the destination, carry the weight,
-        // insert into the freshly reserved slots. No rule, no wire.
-        if !self.prev_csc {
-            // Rows are sources: each clean row's kept run is one record,
-            // and the atomic cursors make the inserts safe to parallelize.
-            let prev = self.prev;
-            let scratch: PerThread<(Vec<Node>, Vec<u32>)> =
-                PerThread::new(&ctx.pool, |_| (Vec::new(), Vec::new()));
-            do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
-                let edges = prev.graph.edges(row as Node);
-                if edges.is_empty() {
-                    return;
-                }
-                let g_row = prev.local2global[row];
-                if dirty.contains(g_row) {
-                    return;
-                }
-                let e0 = prev.graph.first_edge(row as Node) as usize;
-                scratch.with(tid, |(dsts, ws)| {
-                    dsts.clear();
-                    ws.clear();
-                    for (i, &other) in edges.iter().enumerate() {
-                        let g_other = prev.local2global[other as usize];
-                        if dirty.contains(g_other) {
-                            continue;
-                        }
-                        dsts.push(g_other);
-                        if let Some(d) = &prev.edge_data {
-                            ws.push(d[e0 + i]);
-                        }
-                    }
-                    if !dsts.is_empty() {
-                        insert_record(
-                            alloc_ref,
-                            &dest_ptr,
-                            &data_ptr,
-                            g_row,
-                            dsts,
-                            weighted.then_some(ws.as_slice()),
-                        );
-                    }
-                });
-            });
-        } else {
-            // CSC rows are destinations, so sources vary within a row —
-            // keep the grouped sequential walk (runs are consecutive
-            // same-source spans of the transposed adjacency).
-            let mut dsts: Vec<Node> = Vec::new();
-            let mut ws: Vec<u32> = Vec::new();
-            let mut run_src: Option<Node> = None;
-            let flush =
-                |src: Option<Node>, dsts: &mut Vec<Node>, ws: &mut Vec<u32>| {
-                    if let Some(s) = src {
-                        if !dsts.is_empty() {
-                            insert_record(
-                                alloc_ref,
-                                &dest_ptr,
-                                &data_ptr,
-                                s,
-                                dsts,
-                                weighted.then_some(ws.as_slice()),
-                            );
-                        }
-                    }
-                    dsts.clear();
-                    ws.clear();
-                };
-            for_each_kept_edge(self.prev, self.prev_csc, dirty, |src, dst, e| {
-                if run_src != Some(src) {
-                    flush(run_src, &mut dsts, &mut ws);
-                    run_src = Some(src);
-                }
-                dsts.push(dst);
-                if let Some(d) = &self.prev.edge_data {
-                    ws.push(d[e]);
-                }
-            });
-            flush(run_src, &mut dsts, &mut ws);
-        }
-
-        // --- 2. Re-decide and route dirty edges only. ----------------------
-        struct ThreadState {
-            buffers: SendBuffers,
-            buckets: Vec<Vec<Node>>,
-            wbuckets: Vec<Vec<u32>>,
-        }
-        let mut threads: PerThread<ThreadState> = PerThread::new(&ctx.pool, |_| ThreadState {
-            buffers: SendBuffers::new(k, ctx.cfg.buffer_threshold, TAG_EDGES),
-            buckets: vec![Vec::new(); k],
-            wbuckets: vec![Vec::new(); k],
-        });
-        let mut received = 0u64;
-        let mut batch: Vec<bytes::Bytes> = Vec::new();
-        data.for_each_chunk(|chunk| {
-            let prop = LocalProps::new(
-                self.setup.num_nodes,
-                self.setup.num_edges,
-                self.setup.parts,
-                chunk,
-            );
-            do_all_with_tid(&ctx.pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, j| {
-                let s = chunk.node_lo + j as Node;
-                let edges = chunk.edges(s);
-                if edges.is_empty() {
-                    return;
-                }
-                let s_dirty = dirty.contains(s);
-                let sm = masters.of(s);
-                let edge_data = chunk.edge_data(s);
-                threads.with(tid, |ts| {
-                    for b in ts.buckets.iter_mut() {
-                        b.clear();
-                    }
-                    for b in ts.wbuckets.iter_mut() {
-                        b.clear();
-                    }
-                    for (i, &d) in edges.iter().enumerate() {
-                        if !s_dirty && !dirty.contains(d) {
-                            continue;
-                        }
-                        let dm = masters.of(d);
-                        let h = self.rule.get_edge_owner(&prop, s, d, sm, dm, self.estate);
-                        ts.buckets[h as usize].push(d);
-                        if let Some(data) = edge_data {
-                            ts.wbuckets[h as usize].push(data[i]);
-                        }
-                    }
-                    for (h, bucket) in ts.buckets.iter().enumerate() {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let wbucket = weighted.then(|| ts.wbuckets[h].as_slice());
-                        if h == me {
-                            insert_record(alloc_ref, &dest_ptr, &data_ptr, s, bucket, wbucket);
-                        } else {
-                            ts.buffers.record(comm, h, |w| {
-                                w.put_u32(s);
-                                w.put_u32(bucket.len() as u32);
-                                if scalar {
-                                    for &d in bucket {
-                                        w.put_u32(d);
-                                    }
-                                    if let Some(ws) = wbucket {
-                                        for &x in ws {
-                                            w.put_u32(x);
-                                        }
-                                    }
-                                } else {
-                                    w.put_u32_raw_slice(bucket);
-                                    if let Some(ws) = wbucket {
-                                        w.put_u32_raw_slice(ws);
-                                    }
-                                }
-                            });
-                        }
-                    }
-                });
-            });
-            for ts in threads.iter_mut() {
-                ts.buffers.flush_all(comm);
-            }
-            while received < self.to_receive {
-                match comm.try_recv_any(TAG_EDGES) {
-                    Some((_s, p)) => {
-                        received += count_edges_in(&p, weighted, scalar);
-                        batch.push(p);
-                    }
-                    None => break,
-                }
-            }
-            if !batch.is_empty() {
-                do_all_items(&ctx.pool, &batch, 1, |payload| {
-                    insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-                });
-                batch.clear();
-            }
-        });
-        drop(threads);
-
-        // --- 3. Drain the remaining dirty-edge records. --------------------
-        while received < self.to_receive {
-            let (_src, payload) = comm.recv_any(TAG_EDGES);
-            received += count_edges_in(&payload, weighted, scalar);
-            batch.push(payload);
-            while received < self.to_receive {
-                match comm.try_recv_any(TAG_EDGES) {
-                    Some((_s, p)) => {
-                        received += count_edges_in(&p, weighted, scalar);
-                        batch.push(p);
-                    }
-                    None => break,
-                }
-            }
-            do_all_items(&ctx.pool, &batch, 1, |payload| {
-                insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-            });
-            batch.clear();
-        }
-        assert_eq!(received, self.to_receive, "received more edges than expected");
-
-        for (l, cursor) in alloc.cursors.iter().enumerate() {
-            assert_eq!(
-                cursor.load(Ordering::Relaxed),
-                alloc.offsets[l + 1],
-                "node with local id {l} is missing edges after delta construction"
-            );
-        }
-
-        let mut dests = std::mem::take(&mut alloc.dests);
-        let mut edge_data = alloc.edge_data.take();
-        if ctx.cfg.deterministic_sync {
-            sort_adjacency(&alloc.offsets, &mut dests, edge_data.as_deref_mut());
-        }
-        let csr = Csr::from_parts(alloc.offsets.clone(), dests);
-        match (ctx.cfg.output, edge_data) {
-            (OutputFormat::Csr, edge_data) => (csr, edge_data),
-            (OutputFormat::Csc, None) => (csr.transpose(), None),
-            (OutputFormat::Csc, Some(d)) => {
-                let (t, td) = csr.transpose_with_data(&d);
-                (t, Some(td))
-            }
-        }
+        finish(alloc, ctx.cfg)
     }
 }
 
@@ -753,14 +493,12 @@ where
     let prev_csc = cfg.output == OutputFormat::Csc;
 
     let estate = <ER as EdgeRule>::State::new(setup.parts);
+    let walk = EdgeWalk { setup: &setup, masters: &masters, rule: &edge_rule, estate: &estate };
 
     // Phase 3: delta edge assignment (dirty edges decided, clean tallied).
     let d = ctx.run_phase(
         DeltaAssignPhase {
-            setup: &setup,
-            masters: &masters,
-            rule: &edge_rule,
-            estate: &estate,
+            walk: &walk,
             prev: &prev.dist_graph,
             prev_csc,
             dirty: &dirty,
@@ -776,10 +514,7 @@ where
     // Phase 5: delta construction (kept edges copied, dirty edges shipped).
     let (graph, edge_data) = ctx.run_phase(
         DeltaConstructPhase {
-            setup: &setup,
-            masters: &masters,
-            rule: &edge_rule,
-            estate: &estate,
+            walk: &walk,
             prev: &prev.dist_graph,
             prev_csc,
             dirty: &dirty,
@@ -870,32 +605,39 @@ mod tests {
     }
 
     #[test]
-    fn kept_edge_walk_respects_orientation() {
+    fn kept_edge_walk_skips_dirty_endpoints_and_carries_data() {
         use crate::dist_graph::PartitionClass;
-        // Partition over globals {2, 5, 9}: edges 2->5, 2->9, 5->9.
-        let graph = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        use std::sync::Mutex;
+        // Partition over globals {2, 5, 9, 7}: stored edges 2->5, 2->9,
+        // 5->9, 7->2, 7->9 (CSR; under CSC the same rows read as
+        // destinations, which the walk leaves to its callers).
+        let graph = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 2), (3, 0), (3, 2)]);
         let prev = DistGraph {
             part_id: 0,
             num_parts: 1,
             global_nodes: 10,
-            global_edges: 3,
-            num_masters: 3,
-            local2global: vec![2, 5, 9],
-            master_of: vec![0, 0, 0],
+            global_edges: 5,
+            num_masters: 4,
+            local2global: vec![2, 5, 9, 7],
+            master_of: vec![0, 0, 0, 0],
             graph,
-            edge_data: Some(vec![20, 21, 22]),
+            edge_data: Some(vec![20, 21, 22, 23, 24]),
             class: PartitionClass::OutEdgeCut,
         };
         let mut dirty = DirtySet::new(10);
         dirty.insert(5);
-        // CSR orientation: rows are sources; only 2->9 survives (5 dirty).
-        let mut seen = Vec::new();
-        for_each_kept_edge(&prev, false, &dirty, |s, d, e| seen.push((s, d, e)));
-        assert_eq!(seen, vec![(2, 9, 1)]);
-        // CSC orientation: rows are destinations, so the same stored edges
-        // read as 5->2, 9->2, 9->5; with 5 dirty the kept set is {9->2}.
-        let mut seen = Vec::new();
-        for_each_kept_edge(&prev, true, &dirty, |s, d, e| seen.push((s, d, e)));
-        assert_eq!(seen, vec![(9, 2, 1)]);
+        let pool = ThreadPool::new(2);
+        let seen = Mutex::new(Vec::new());
+        for_each_kept_row(&pool, &prev, &dirty, |row, others, ws| {
+            seen.lock().unwrap().push((row, others.to_vec(), ws.map(<[u32]>::to_vec)));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort();
+        // Row 5 is dirty and 2->5 has a dirty endpoint; the rest is kept,
+        // each edge with its own datum.
+        assert_eq!(
+            seen,
+            vec![(2, vec![9], Some(vec![21])), (7, vec![2, 9], Some(vec![23, 24]))]
+        );
     }
 }

@@ -17,15 +17,14 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{PerThread, ThreadPool};
 use cusp_graph::Node;
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::phases::master::ResolvedMasters;
-use crate::phases::pipeline::SliceData;
+use crate::phases::pipeline::{for_each_source, AllEdges, EdgeFilter, EdgeWalk, SliceData};
 use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
-use crate::state::PartitionState;
 use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::PartId;
 
@@ -61,52 +60,12 @@ pub fn assign_edges<ER: EdgeRule>(
     let local_n = data.num_nodes();
 
     // --- Local tally (Algorithm 3, lines 1–6). --------------------------
-    // counts[h * local_n + i]: edges of node (lo + i) owned by host h.
-    // The positional tally covers the whole range (O(nodes) resident);
-    // edge payloads stream through one bounded chunk at a time.
-    let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
-    let mirror_lists: PerThread<Vec<(PartId, Node)>> = PerThread::new(pool, |_| Vec::new());
-
-    data.for_each_chunk(|chunk| {
-        let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
-        let base = (chunk.node_lo - lo) as usize;
-        let process = |tid: usize, j: usize| {
-            let s = chunk.node_lo + j as Node;
-            let sm = masters.of(s);
-            mirror_lists.with(tid, |mirrors| {
-                for &d in chunk.edges(s) {
-                    let dm = masters.of(d);
-                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                    debug_assert!(h < setup.parts);
-                    counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
-                    if h != dm {
-                        mirrors.push((h, d));
-                    }
-                }
-            });
-        };
-        if ER::State::STATELESS {
-            // Dynamic chunking absorbs the wildly uneven per-node cost of
-            // power-law hubs (§IV-C1).
-            do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, process);
-        } else {
-            // Stateful edge rules replay during construction; sequential
-            // node order (within and across chunks) keeps the decision
-            // stream deterministic (see EdgeRule docs).
-            for j in 0..chunk.num_nodes() {
-                process(0, j);
-            }
-        }
-    });
-
-    // Group mirrors by owner host, sorted and deduplicated.
-    let mut flat: Vec<(PartId, Node)> = mirror_lists.into_inner().into_iter().flatten().collect();
-    flat.sort_unstable();
-    flat.dedup();
+    let walk = EdgeWalk { setup, masters, rule, estate };
+    let tally = tally_edges(pool, data, &walk, &AllEdges);
+    let counts = tally.counts;
     let mut mirrors_for: Vec<Vec<(Node, PartId)>> = vec![Vec::new(); k];
-    for (h, d) in flat {
-        let dm = masters.of(d);
-        mirrors_for[h as usize].push((d, dm));
+    for (h, d) in tally.mirrors {
+        mirrors_for[h as usize].push((d, masters.of(d)));
     }
 
     // Masters of my read range, bucketed by owning partition (stored only).
@@ -238,6 +197,67 @@ pub fn assign_edges<ER: EdgeRule>(
         my_master_nodes,
         to_receive,
     }
+}
+
+/// One host's edge tally (Algorithm 3, lines 1–6).
+pub(crate) struct Tally {
+    /// `counts[h * n + i]`: walked edges of node `lo + i` of the read range
+    /// (`n` nodes from `lo`) that host `h` owns.
+    pub(crate) counts: Vec<AtomicU32>,
+    /// `(owner, dst)` for every walked edge whose owner is not the master
+    /// of its destination — the mirrors the owner must create — sorted and
+    /// deduplicated.
+    pub(crate) mirrors: Vec<(PartId, Node)>,
+}
+
+/// Calls `getEdgeOwner` for every edge of the read range that `filter`
+/// admits and tallies the positional counts and induced mirrors. The full
+/// phase walks [`AllEdges`]; the delta path walks only dirty edges.
+pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
+    pool: &ThreadPool,
+    data: &mut SliceData,
+    walk: &EdgeWalk<'_, ER>,
+    filter: &F,
+) -> Tally {
+    let EdgeWalk { setup, masters, rule, estate } = *walk;
+    let lo = data.node_lo();
+    let local_n = data.num_nodes();
+    // The positional tally covers the whole range (O(nodes) resident);
+    // edge payloads stream through one bounded chunk at a time.
+    let counts: Vec<AtomicU32> =
+        (0..setup.parts as usize * local_n).map(|_| AtomicU32::new(0)).collect();
+    let mirror_lists: PerThread<Vec<(PartId, Node)>> = PerThread::new(pool, |_| Vec::new());
+
+    data.for_each_chunk(|chunk| {
+        let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
+        let base = (chunk.node_lo - lo) as usize;
+        let process = |tid: usize, j: usize| {
+            let s = chunk.node_lo + j as Node;
+            let all = filter.all_of(s);
+            let sm = masters.of(s);
+            mirror_lists.with(tid, |mirrors| {
+                for &d in chunk.edges(s) {
+                    if !all && !filter.admits(d) {
+                        continue;
+                    }
+                    let dm = masters.of(d);
+                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
+                    debug_assert!(h < setup.parts);
+                    counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
+                    if h != dm {
+                        mirrors.push((h, d));
+                    }
+                }
+            });
+        };
+        for_each_source::<ER::State>(pool, chunk.num_nodes(), process);
+    });
+
+    let mut mirrors: Vec<(PartId, Node)> =
+        mirror_lists.into_inner().into_iter().flatten().collect();
+    mirrors.sort_unstable();
+    mirrors.dedup();
+    Tally { counts, mirrors }
 }
 
 #[cfg(test)]

@@ -29,13 +29,13 @@
 
 use std::time::Instant;
 
-use cusp_galois::ThreadPool;
+use cusp_galois::{do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{ChunkedSlice, Csr, GraphSlice, Node};
 use cusp_net::Comm;
 
 use crate::config::{CuspConfig, PhaseTimes};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
-use crate::phases::construct::construct;
+use crate::phases::construct::{finish, route_edges, Slots};
 use crate::phases::edge_assign::{assign_edges, EdgeAssignOutcome};
 use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
 use crate::phases::read::{read_phase, ReadOutcome};
@@ -162,6 +162,61 @@ impl SliceData {
             SliceData::Chunked(c) => c.arena_hw_bytes(),
         }
     }
+}
+
+/// Which edges of the read slice an edge walk visits. Edge assignment and
+/// construction are generic over it, so the full pipeline and the delta
+/// path share one walk; the filter is resolved at compile time, and
+/// [`AllEdges`] reduces to the unfiltered loop.
+pub(crate) trait EdgeFilter: Sync {
+    /// Whether every out-edge of source `s` is walked.
+    fn all_of(&self, s: Node) -> bool;
+    /// Whether the edge into `d` is walked, given `all_of` was false for
+    /// its source.
+    fn admits(&self, d: Node) -> bool;
+}
+
+/// The full pipeline's filter: every edge is walked.
+pub(crate) struct AllEdges;
+
+impl EdgeFilter for AllEdges {
+    #[inline(always)]
+    fn all_of(&self, _s: Node) -> bool {
+        true
+    }
+    #[inline(always)]
+    fn admits(&self, _d: Node) -> bool {
+        true
+    }
+}
+
+/// Runs `process(tid, j)` for each of a chunk's `n` source nodes. A
+/// stateless rule's nodes run in parallel: dynamic chunking absorbs the
+/// wildly uneven per-node cost of power-law hubs (§IV-C1). A stateful
+/// rule's run sequentially in node order (within and across chunks), which
+/// keeps its decision stream — and so the §IV-B4 construction replay —
+/// deterministic (see `EdgeRule` docs).
+pub(crate) fn for_each_source<S: PartitionState>(
+    pool: &ThreadPool,
+    n: usize,
+    process: impl Fn(usize, usize) + Sync,
+) {
+    if S::STATELESS {
+        do_all_with_tid(pool, n, DEFAULT_GRAIN, process);
+    } else {
+        for j in 0..n {
+            process(0, j);
+        }
+    }
+}
+
+/// What deciding an edge's owner needs: the replicated setup, the resolved
+/// masters, and the policy's edge rule with its state.
+pub(crate) struct EdgeWalk<'a, ER: EdgeRule> {
+    pub(crate) setup: &'a Setup,
+    pub(crate) masters: &'a ResolvedMasters,
+    pub(crate) rule: &'a ER,
+    pub(crate) estate: &'a ER::State,
 }
 
 /// Per-host execution context threaded through every phase: the comm
@@ -369,18 +424,12 @@ impl<'a, ER: EdgeRule> Phase for ConstructPhase<'a, ER> {
     type Output = (Csr, Option<Vec<u32>>);
 
     fn run(self, ctx: &mut PhaseCtx<'_>, (data, alloc): Self::Input) -> Self::Output {
-        construct(
-            ctx.comm,
-            &ctx.pool,
-            self.setup,
-            data,
-            self.masters,
-            self.rule,
-            self.replay.state(),
-            alloc,
-            self.to_receive,
-            ctx.cfg,
-        )
+        debug_assert_eq!(data.weighted(), alloc.edge_data.is_some());
+        let slots = Slots::new(alloc);
+        let (setup, masters, rule) = (self.setup, self.masters, self.rule);
+        let walk = EdgeWalk { setup, masters, rule, estate: self.replay.state() };
+        route_edges(ctx.comm, &ctx.pool, data, &walk, &AllEdges, &slots, self.to_receive, ctx.cfg);
+        finish(alloc, ctx.cfg)
     }
 }
 

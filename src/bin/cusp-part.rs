@@ -697,6 +697,11 @@ struct Worker {
     /// Deadline at which a SIGSTOPped (wedged) victim gets its SIGKILL.
     wedge_deadline: Option<std::time::Instant>,
     stderr_path: PathBuf,
+    /// When the current incarnation last printed a stdout line (its spawn
+    /// time until it does).
+    last_line: std::time::Instant,
+    /// The current incarnation's latest `CUSP-WORKER-PHASE` marker.
+    last_phase: Option<String>,
 }
 
 /// Kills and reaps every worker on drop, so no exit path — including the
@@ -805,10 +810,12 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         if flags.contains_key("csc") {
             cmd.arg("--csc");
         }
+        // Phase markers time `--kill-seed` injection and tell the
+        // watchdog where each worker stalled.
+        cmd.arg("--announce-phases");
         if kill_seed.is_some() {
-            // Recovery needs the survivors' rejoin acceptors and the
-            // victim's phase markers; both are inert otherwise.
-            cmd.arg("--rejoin").arg("--announce-phases");
+            // Recovery needs the survivors' rejoin acceptors; inert otherwise.
+            cmd.arg("--rejoin");
         }
         if incarnation > 0 {
             cmd.arg("--incarnation").arg(incarnation.to_string());
@@ -858,6 +865,8 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             eof: false,
             wedge_deadline: None,
             stderr_path,
+            last_line: std::time::Instant::now(),
+            last_phase: None,
         });
     }
 
@@ -887,6 +896,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
                     // A dead generation's reader thread draining out.
                 } else if let Some(line) = ev {
                     last_progress = std::time::Instant::now();
+                    fleet.workers[h].last_line = last_progress;
                     let toks: Vec<&str> = line.split_whitespace().collect();
                     match toks.as_slice() {
                         ["CUSP-WORKER-LISTEN", addr] => {
@@ -918,6 +928,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
                             }
                         }
                         ["CUSP-WORKER-PHASE", phase] => {
+                            fleet.workers[h].last_phase = Some(phase.to_string());
                             if let Some(d) = &plan {
                                 let due = d.victim == h
                                     && d.phase == *phase
@@ -1051,6 +1062,8 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             w.incarnation += 1;
             w.wedge_deadline = None;
             w.eof = false;
+            w.last_line = now;
+            w.last_phase = None;
             respawns += 1;
             let addr = w.addr.clone().unwrap();
             let mut child = spawn_worker(h, w.incarnation, Some(&addr), &w.stderr_path);
@@ -1067,7 +1080,30 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             break;
         }
         if last_progress.elapsed() > watchdog {
-            return fail(&fleet, 0, "no worker progress within the watchdog window");
+            let now = std::time::Instant::now();
+            let stalled: Vec<Stalled> = fleet
+                .workers
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| !w.done)
+                .map(|(host, w)| Stalled {
+                    host,
+                    incarnation: w.incarnation,
+                    phase: w.last_phase.clone(),
+                    silent: now - w.last_line,
+                })
+                .collect();
+            eprintln!("cusp-part launch: no worker progress within the watchdog window");
+            for s in &stalled {
+                let phase = s.phase.as_deref().unwrap_or("(none yet)");
+                let silent = s.silent.as_secs_f64();
+                let (host, inc) = (s.host, s.incarnation);
+                eprintln!("  host {host} incarnation {inc}: last phase {phase}, silent {silent:.1}s");
+            }
+            if let Some(h) = longest_silent(&stalled) {
+                stderr_tail(h, &fleet.workers[h].stderr_path);
+            }
+            return 1;
         }
     }
 
@@ -1141,6 +1177,25 @@ fn send_peers(w: &mut Worker, line: &str) {
     let stdin = w.stdin.as_mut().expect("worker stdin piped");
     stdin.write_all(line.as_bytes()).expect("cannot send peer list to worker");
     stdin.flush().expect("cannot flush worker stdin");
+}
+
+/// An unfinished worker at the moment the launch watchdog fires.
+struct Stalled {
+    host: usize,
+    incarnation: u32,
+    /// Latest announced phase; `None` before the first marker.
+    phase: Option<String>,
+    /// Time since the worker's last stdout line.
+    silent: std::time::Duration,
+}
+
+/// The host whose stderr the watchdog tails: the unfinished worker that
+/// has been silent longest (the lowest host on a tie).
+fn longest_silent(stalled: &[Stalled]) -> Option<usize> {
+    stalled
+        .iter()
+        .max_by(|a, b| a.silent.cmp(&b.silent).then(b.host.cmp(&a.host)))
+        .map(|s| s.host)
 }
 
 /// Prints the last lines of a dead worker's captured stderr, so the panic
@@ -1556,5 +1611,31 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
             eprintln!("unknown client verb '{other}'");
             usage()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn stalled(host: usize, silent_ms: u64) -> Stalled {
+        Stalled {
+            host,
+            incarnation: 0,
+            phase: None,
+            silent: Duration::from_millis(silent_ms),
+        }
+    }
+
+    #[test]
+    fn watchdog_blames_the_longest_silent_worker() {
+        assert_eq!(longest_silent(&[]), None);
+        // Host 0 is not the default culprit: host 2 has been quiet longest.
+        let workers = [stalled(0, 1_000), stalled(2, 181_000), stalled(3, 5_000)];
+        assert_eq!(longest_silent(&workers), Some(2));
+        // Ties go to the lowest host.
+        let tied = [stalled(3, 9_000), stalled(1, 9_000)];
+        assert_eq!(longest_silent(&tied), Some(1));
     }
 }
