@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
+use cusp::phases::master::RemoteMasters;
 use cusp::policies::{CartesianEdge, ContiguousEB, FennelEB, HybridEdge, SourceEdge};
 use cusp::policy::{EdgeRule, MasterRule, MasterView, Setup};
 use cusp::props::LocalProps;
@@ -93,7 +94,7 @@ fn bench_master_rules(c: &mut Criterion) {
         let local: Vec<AtomicU32> = (0..graph.num_nodes())
             .map(|_| AtomicU32::new(cusp::policy::UNASSIGNED))
             .collect();
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::new(Vec::new());
         b.iter(|| {
             let state = LoadState::new(k);
             let view = MasterView::Stored {

@@ -33,7 +33,6 @@
 //! an atomic rename so a crash mid-write leaves the previous checkpoint
 //! intact rather than a torn one.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -123,12 +122,11 @@ impl MastersSnapshot {
         match self {
             MastersSnapshot::Pure => None,
             MastersSnapshot::Stored { lo, local, remote } => {
-                let map: HashMap<Node, PartId> = remote.iter().copied().collect();
-                Some(ResolvedMasters::Stored {
-                    lo: *lo,
-                    local: local.clone(),
-                    remote: RemoteMasters::from_map(&map),
-                })
+                let mut table = RemoteMasters::new(remote.iter().map(|&(v, _)| v).collect());
+                for &(v, p) in remote {
+                    table.set(v, p);
+                }
+                Some(ResolvedMasters::Stored { lo: *lo, local: local.clone(), remote: table })
             }
         }
     }
@@ -156,7 +154,8 @@ impl MastersSnapshot {
                 let local = r.get_u32_vec().ok()?;
                 let keys = r.get_u32_vec().ok()?;
                 let vals = r.get_u32_vec().ok()?;
-                if keys.len() != vals.len() {
+                // The table rebuild needs the ascending order `of` wrote.
+                if keys.len() != vals.len() || keys.windows(2).any(|w| w[0] >= w[1]) {
                     return None;
                 }
                 let remote = keys.into_iter().zip(vals).collect();
@@ -467,6 +466,25 @@ mod tests {
         // And the original still loads (the mutations above were copies).
         fs::write(s.path(), &good).expect("writable");
         assert!(s.load().is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_masters_rebuild_and_reject_unsorted_remote_ids() {
+        let masters = sample(Stage::Master).masters.to_stored().expect("stored form");
+        assert_eq!((masters.of(3), masters.of(99), masters.of(12)), (2, 0, 2));
+        // A sealed snapshot whose remote ids are out of order cannot index
+        // the rebuilt table; it must read as absent, not panic.
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-order-{}", std::process::id()));
+        let s = store(&dir);
+        let mut ck = sample(Stage::Master);
+        ck.masters = MastersSnapshot::Stored {
+            lo: 10,
+            local: vec![0; 5],
+            remote: vec![(99, 0), (3, 2)],
+        };
+        s.save(&ck).expect("saves");
+        assert!(s.load().is_none(), "unsorted remote masters accepted");
         let _ = fs::remove_dir_all(&dir);
     }
 

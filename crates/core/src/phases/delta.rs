@@ -54,6 +54,7 @@ use cusp_net::{Comm, WireReader, WireWriter};
 use crate::config::OutputFormat;
 use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{AllocOutcome, MasterSpec};
+use crate::phases::bitset::DenseBitset;
 use crate::phases::construct::{finish, route_edges, Slots};
 use crate::phases::driver::{partition, PartitionOutput};
 use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome};
@@ -67,45 +68,23 @@ use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::{CuspConfig, GraphSource, PartId};
 
 /// Dense bitset over global vertex ids marking the dirty set.
-pub struct DirtySet {
-    bits: Vec<u64>,
-    count: u64,
-}
+pub struct DirtySet(DenseBitset);
 
 impl DirtySet {
-    fn new(n: u64) -> Self {
-        DirtySet { bits: vec![0u64; (n as usize).div_ceil(64)], count: 0 }
-    }
-
-    fn insert(&mut self, v: Node) {
-        let (w, b) = (v as usize / 64, v as usize % 64);
-        if self.bits[w] & (1 << b) == 0 {
-            self.bits[w] |= 1 << b;
-            self.count += 1;
-        }
-    }
-
-    fn insert_range(&mut self, r: std::ops::Range<Node>) {
-        for v in r {
-            self.insert(v);
-        }
-    }
-
     /// Is global vertex `v` dirty?
     #[inline]
     pub fn contains(&self, v: Node) -> bool {
-        let (w, b) = (v as usize / 64, v as usize % 64);
-        w < self.bits.len() && self.bits[w] & (1 << b) != 0
+        self.0.contains(v as usize)
     }
 
     /// Number of dirty vertices.
     pub fn len(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// True when no vertex is dirty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 }
 
@@ -175,11 +154,12 @@ pub fn dirty_set<MR: MasterRule>(
     batch: &[GraphEvent],
 ) -> DirtySet {
     debug_assert!(new_n >= old_n, "graphs never shrink under a WAL batch");
-    let mut dirty = DirtySet::new(new_n);
+    let dirty = DenseBitset::new(new_n as usize);
+    let insert_range = |r: std::ops::Range<Node>| r.for_each(|v| dirty.insert(v as usize));
     for ev in batch {
-        dirty.insert(ev.src());
+        dirty.insert(ev.src() as usize);
     }
-    dirty.insert_range(old_n as Node..new_n as Node);
+    insert_range(old_n as Node..new_n as Node);
     // Master shifts: a vertex whose new owner differs from its old owner.
     // Both rules assign contiguous per-part ranges, so the shifted vertices
     // are interval differences — `new_range(p) \ old_range(p)` per part
@@ -191,10 +171,10 @@ pub fn dirty_set<MR: MasterRule>(
         if old_r == new_r {
             continue;
         }
-        dirty.insert_range(new_r.start..new_r.end.min(old_r.start.max(new_r.start)));
-        dirty.insert_range(old_r.end.max(new_r.start).min(new_r.end)..new_r.end);
+        insert_range(new_r.start..new_r.end.min(old_r.start.max(new_r.start)));
+        insert_range(old_r.end.max(new_r.start).min(new_r.end)..new_r.end);
     }
-    dirty
+    DirtySet(dirty)
 }
 
 /// Output of the delta edge-assignment phase: the synthesized
@@ -237,11 +217,8 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         // mastered elsewhere (deduplication by construction — no sort).
         let n_glob = self.walk.setup.num_nodes as usize;
         let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
-        let mirror_bits: Vec<AtomicU64> =
-            (0..n_glob.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let mark_mirror = |v: Node| {
-            mirror_bits[v as usize / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
-        };
+        let mirror_bits = DenseBitset::new(n_glob);
+        let mark_mirror = |v: Node| mirror_bits.insert(v as usize);
         let csc = self.prev_csc;
         let reused_total = AtomicU64::new(0);
         for_each_kept_row(&ctx.pool, self.prev, dirty, |row, others, _| {
@@ -270,11 +247,9 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         // --- Dirty edges from the mutated slice (local tally). ------------
         // The full phase's tally, walking only edges with a dirty endpoint.
         let tally = tally_edges(&ctx.pool, data, self.walk, dirty);
-        let counts = tally.counts;
-        let mut mirrors_for: Vec<Vec<Node>> = vec![Vec::new(); k];
-        for (h, d) in tally.mirrors {
-            mirrors_for[h as usize].push(d);
-        }
+        let counts = &tally.counts;
+        let mirrors_for: Vec<Vec<Node>> =
+            (0..k).map(|h| tally.mirrors_of(h as PartId).collect()).collect();
 
         // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
         // Masters are pure, so receivers recompute them; only ids travel.
@@ -353,15 +328,10 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
                 incoming_srcs.push((v as Node, c, masters.of(v as Node)));
             }
         }
-        let mut mirrors: Vec<(Node, PartId)> = Vec::new();
-        for (w, bits) in mirror_bits.iter().enumerate() {
-            let mut b = bits.load(Ordering::Relaxed);
-            while b != 0 {
-                let v = (w * 64 + b.trailing_zeros() as usize) as Node;
-                b &= b - 1;
-                mirrors.push((v, masters.of(v)));
-            }
-        }
+        let mirrors: Vec<(Node, PartId)> = mirror_bits
+            .ones()
+            .map(|v| (v as Node, masters.of(v as Node)))
+            .collect();
 
         DeltaAssignOutcome {
             ea: EdgeAssignOutcome {
@@ -624,8 +594,9 @@ mod tests {
             edge_data: Some(vec![20, 21, 22, 23, 24]),
             class: PartitionClass::OutEdgeCut,
         };
-        let mut dirty = DirtySet::new(10);
-        dirty.insert(5);
+        let bits = DenseBitset::new(10);
+        bits.insert(5);
+        let dirty = DirtySet(bits);
         let pool = ThreadPool::new(2);
         let seen = Mutex::new(Vec::new());
         for_each_kept_row(&pool, &prev, &dirty, |row, others, ws| {

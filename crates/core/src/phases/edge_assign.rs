@@ -17,10 +17,11 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{PerThread, ThreadPool};
+use cusp_galois::ThreadPool;
 use cusp_graph::Node;
 use cusp_net::{Comm, WireReader, WireWriter};
 
+use crate::phases::bitset::DenseBitset;
 use crate::phases::master::ResolvedMasters;
 use crate::phases::pipeline::{for_each_source, AllEdges, EdgeFilter, EdgeWalk, SliceData};
 use crate::policy::{EdgeRule, Setup};
@@ -62,11 +63,10 @@ pub fn assign_edges<ER: EdgeRule>(
     // --- Local tally (Algorithm 3, lines 1–6). --------------------------
     let walk = EdgeWalk { setup, masters, rule, estate };
     let tally = tally_edges(pool, data, &walk, &AllEdges);
-    let counts = tally.counts;
-    let mut mirrors_for: Vec<Vec<(Node, PartId)>> = vec![Vec::new(); k];
-    for (h, d) in tally.mirrors {
-        mirrors_for[h as usize].push((d, masters.of(d)));
-    }
+    let counts = &tally.counts;
+    let mut mirrors_for: Vec<Vec<(Node, PartId)>> = (0..k)
+        .map(|h| tally.mirrors_of(h as PartId).map(|d| (d, masters.of(d))).collect())
+        .collect();
 
     // Masters of my read range, bucketed by owning partition (stored only).
     let pure = masters.is_pure();
@@ -204,10 +204,20 @@ pub(crate) struct Tally {
     /// `counts[h * n + i]`: walked edges of node `lo + i` of the read range
     /// (`n` nodes from `lo`) that host `h` owns.
     pub(crate) counts: Vec<AtomicU32>,
-    /// `(owner, dst)` for every walked edge whose owner is not the master
-    /// of its destination — the mirrors the owner must create — sorted and
-    /// deduplicated.
-    pub(crate) mirrors: Vec<(PartId, Node)>,
+    /// Bit `owner * num_nodes + dst` for every walked edge whose owner is
+    /// not the master of its destination — the mirrors the owner must
+    /// create. `parts × num_nodes` bits, deduplicated by construction.
+    mirrors: DenseBitset,
+    num_nodes: usize,
+}
+
+impl Tally {
+    /// The mirrors host `h` must create for this host's walked edges,
+    /// ascending.
+    pub(crate) fn mirrors_of(&self, h: PartId) -> impl Iterator<Item = Node> + '_ {
+        let base = h as usize * self.num_nodes;
+        self.mirrors.ones_in(base..base + self.num_nodes).map(move |i| (i - base) as Node)
+    }
 }
 
 /// Calls `getEdgeOwner` for every edge of the read range that `filter`
@@ -226,38 +236,33 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     // edge payloads stream through one bounded chunk at a time.
     let counts: Vec<AtomicU32> =
         (0..setup.parts as usize * local_n).map(|_| AtomicU32::new(0)).collect();
-    let mirror_lists: PerThread<Vec<(PartId, Node)>> = PerThread::new(pool, |_| Vec::new());
+    let num_nodes = setup.num_nodes as usize;
+    let mirrors = DenseBitset::new(setup.parts as usize * num_nodes);
 
     data.for_each_chunk(|chunk| {
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
         let base = (chunk.node_lo - lo) as usize;
-        let process = |tid: usize, j: usize| {
+        let process = |_tid: usize, j: usize| {
             let s = chunk.node_lo + j as Node;
             let all = filter.all_of(s);
             let sm = masters.of(s);
-            mirror_lists.with(tid, |mirrors| {
-                for &d in chunk.edges(s) {
-                    if !all && !filter.admits(d) {
-                        continue;
-                    }
-                    let dm = masters.of(d);
-                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                    debug_assert!(h < setup.parts);
-                    counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
-                    if h != dm {
-                        mirrors.push((h, d));
-                    }
+            for &d in chunk.edges(s) {
+                if !all && !filter.admits(d) {
+                    continue;
                 }
-            });
+                let dm = masters.of(d);
+                let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
+                debug_assert!(h < setup.parts);
+                counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
+                if h != dm {
+                    mirrors.insert(h as usize * num_nodes + d as usize);
+                }
+            }
         };
         for_each_source::<ER::State>(pool, chunk.num_nodes(), process);
     });
 
-    let mut mirrors: Vec<(PartId, Node)> =
-        mirror_lists.into_inner().into_iter().flatten().collect();
-    mirrors.sort_unstable();
-    mirrors.dedup();
-    Tally { counts, mirrors }
+    Tally { counts, mirrors, num_nodes }
 }
 
 #[cfg(test)]

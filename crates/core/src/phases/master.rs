@@ -24,14 +24,14 @@
 // deliberate (it mirrors per-host/per-block protocol structure).
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{do_all, PerThread, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::Node;
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
+use crate::phases::bitset::DenseBitset;
 use crate::phases::pipeline::SliceData;
 use crate::policy::{MasterRule, MasterView, Setup, UNASSIGNED};
 use crate::props::LocalProps;
@@ -39,82 +39,89 @@ use crate::state::PartitionState;
 use crate::tags::{MSG_FINAL, MSG_SYNC, TAG_MASTER_REQ, TAG_MASTER_SYNC};
 use crate::PartId;
 
-/// Dense lookup table for the masters of requested remote nodes.
+/// Dense table of the masters of the remote nodes this host requested.
 ///
-/// Built once from the sparse protocol-time map after master resolution.
-/// The edge-assignment and construction inner loops call
-/// [`ResolvedMasters::of`] up to twice *per edge*, so the `HashMap` the sync
-/// protocol accumulates into is frozen here: when the requested ids span a
-/// window comparable to their count, lookup is a bounds check plus an array
-/// load (holes hold [`UNASSIGNED`]); for pathologically sparse id sets it
-/// falls back to binary search over the sorted ids.
+/// Built before the sync protocol starts, from the sorted request list,
+/// with every entry [`UNASSIGNED`]; SYNC/FINAL messages fill it in place,
+/// and after the phase the same table serves edge assignment and
+/// construction, which look masters up to twice *per edge*. When the
+/// requested ids span a window comparable to their count, a lookup is a
+/// bounds check plus an array load (holes hold [`UNASSIGNED`]); for
+/// pathologically sparse id sets it falls back to binary search over the
+/// sorted ids.
 pub struct RemoteMasters {
     /// Requested node ids, sorted ascending.
     keys: Vec<Node>,
-    /// Master of `keys[i]`.
-    vals: Vec<PartId>,
     /// First id covered by `window` (meaningful only when non-empty).
     window_lo: Node,
-    /// Dense id → master table covering `window_lo..window_lo + len`.
+    /// Dense form: master of `window_lo + i` at `i`. Empty in the sparse
+    /// form.
     window: Vec<PartId>,
+    /// Sparse form: master of `keys[i]` at `i`. Empty in the dense form.
+    vals: Vec<PartId>,
 }
 
 impl RemoteMasters {
-    /// Freezes a protocol-time map into the dense lookup form.
-    pub fn from_map(map: &HashMap<Node, PartId>) -> Self {
-        let mut pairs: Vec<(Node, PartId)> = map.iter().map(|(&v, &p)| (v, p)).collect();
-        pairs.sort_unstable_by_key(|&(v, _)| v);
-        let keys: Vec<Node> = pairs.iter().map(|&(v, _)| v).collect();
-        let vals: Vec<PartId> = pairs.iter().map(|&(_, p)| p).collect();
-        let (window_lo, window) = match (keys.first(), keys.last()) {
-            (Some(&lo), Some(&hi)) => {
-                let span = (hi - lo) as usize + 1;
+    /// An all-unassigned table over `keys` (sorted, no duplicates).
+    pub fn new(keys: Vec<Node>) -> Self {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted and unique");
+        let (window_lo, window, vals) = match (keys.first(), keys.last()) {
+            (Some(&lo), Some(&hi))
                 // Remote dests of a contiguous read range tend to blanket
                 // the id space, so the dense form almost always applies; the
                 // cap only guards against degenerate sparse sets (a few ids
                 // scattered across billions).
-                if span <= keys.len().saturating_mul(4).saturating_add(1024) {
-                    let mut window = vec![UNASSIGNED; span];
-                    for &(v, p) in &pairs {
-                        window[(v - lo) as usize] = p;
-                    }
-                    (lo, window)
-                } else {
-                    (0, Vec::new())
-                }
+                if ((hi - lo) as usize) < keys.len().saturating_mul(4).saturating_add(1024) =>
+            {
+                (lo, vec![UNASSIGNED; (hi - lo) as usize + 1], Vec::new())
             }
-            _ => (0, Vec::new()),
+            _ => (0, Vec::new(), vec![UNASSIGNED; keys.len()]),
         };
-        RemoteMasters { keys, vals, window_lo, window }
+        RemoteMasters { keys, window_lo, window, vals }
+    }
+
+    /// Records that `v`'s master is `p`. Panics if the table has no entry
+    /// for `v` (it was not requested).
+    #[inline]
+    pub fn set(&mut self, v: Node, p: PartId) {
+        let entry = if !self.window.is_empty() {
+            self.window.get_mut(v.wrapping_sub(self.window_lo) as usize)
+        } else {
+            self.keys.binary_search(&v).ok().map(|i| &mut self.vals[i])
+        };
+        *entry.unwrap_or_else(|| panic!("master of {v} sent but never requested")) = p;
     }
 
     /// The master of `v`, or `None` if the protocol never delivered it.
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
-        if !self.window.is_empty() {
-            let off = v.wrapping_sub(self.window_lo) as usize;
-            if off < self.window.len() {
-                let m = self.window[off];
-                return (m != UNASSIGNED).then_some(m);
-            }
-            return None;
-        }
-        self.keys.binary_search(&v).ok().map(|i| self.vals[i])
+        let m = if !self.window.is_empty() {
+            *self.window.get(v.wrapping_sub(self.window_lo) as usize)?
+        } else {
+            self.vals[self.keys.binary_search(&v).ok()?]
+        };
+        (m != UNASSIGNED).then_some(m)
     }
 
-    /// Number of stored assignments.
+    /// The smallest requested node whose master has not arrived.
+    pub fn first_unanswered(&self) -> Option<Node> {
+        self.keys.iter().copied().find(|&v| self.get(v).is_none())
+    }
+
+    /// Number of requested nodes.
     pub fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// True when no remote assignments were requested.
+    /// True when no remote masters were requested.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
 
-    /// Iterates `(node, master)` pairs in ascending node order.
+    /// Iterates the delivered `(node, master)` pairs in ascending node
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Node, PartId)> + '_ {
-        self.keys.iter().copied().zip(self.vals.iter().copied())
+        self.keys.iter().filter_map(|&v| Some((v, self.get(v)?)))
     }
 }
 
@@ -182,17 +189,18 @@ pub fn assign_masters<MR: MasterRule>(
     let local_n = data.num_nodes();
 
     // --- Step 1: request the masters of my edges' destinations. --------
-    let needed = remote_dests(pool, data, setup, me);
-    let mut per_peer_requests: Vec<Vec<Node>> = vec![Vec::new(); k];
-    for &d in &needed {
-        per_peer_requests[setup.reader_of(d)].push(d);
-    }
+    let needed = remote_dests(pool, data, setup);
     for peer in 0..k {
         if peer == me {
             continue;
         }
-        let mut w = WireWriter::with_capacity(8 + per_peer_requests[peer].len() * 4);
-        w.put_u32_slice(&per_peer_requests[peer]);
+        // Read ranges are contiguous and ordered, so each peer's requests
+        // are one run of the sorted list.
+        let split = &setup.read_splits[peer];
+        let from = needed.partition_point(|&d| (d as u64) < split.lo);
+        let to = needed.partition_point(|&d| (d as u64) < split.hi);
+        let mut w = WireWriter::with_capacity(8 + (to - from) * 4);
+        w.put_u32_slice(&needed[from..to]);
         comm.send_bytes(peer, TAG_MASTER_REQ, w.finish());
     }
     // requested_by[peer]: nodes of MY range that `peer` wants, sorted.
@@ -206,7 +214,7 @@ pub fn assign_masters<MR: MasterRule>(
 
     // --- Step 2: assignment loop with periodic asynchronous sync. ------
     let local: Vec<AtomicU32> = (0..local_n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
-    let mut remote: HashMap<Node, PartId> = HashMap::with_capacity(needed.len());
+    let mut remote = RemoteMasters::new(needed);
 
     let rounds = if rule.uses_neighbor_masters() {
         cfg.sync_rounds.max(1) as usize
@@ -357,13 +365,21 @@ pub fn assign_masters<MR: MasterRule>(
         }
     }
 
-    debug_assert_eq!(remote.len(), needed.len(), "unanswered master requests");
+    check_answered(me, &remote);
     ResolvedMasters::Stored {
         lo,
         local: local.into_iter().map(|a| a.into_inner()).collect(),
-        // Freeze the protocol-time map into the dense form the per-edge
-        // lookups in edge assignment and construction read from.
-        remote: RemoteMasters::from_map(&remote),
+        remote,
+    }
+}
+
+/// Fails the phase, naming the host and the first missing node, if a peer
+/// left one of this host's master requests unanswered. Checked in every
+/// build: a hole would otherwise surface only later, deep in edge
+/// assignment, with no hint of which exchange dropped it.
+fn check_answered(me: usize, remote: &RemoteMasters) {
+    if let Some(v) = remote.first_unanswered() {
+        panic!("host {me}: master request for node {v} went unanswered in the master phase");
     }
 }
 
@@ -375,25 +391,22 @@ pub fn pure_masters<MR: MasterRule + Clone + 'static>(rule: &MR) -> ResolvedMast
 }
 
 /// Sorted, deduplicated destinations of the local slice that fall outside
-/// the local read range (the nodes whose masters this host must request).
-fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup, me: usize) -> Vec<Node> {
-    let locals: PerThread<Vec<Node>> = PerThread::new(pool, |_| Vec::new());
+/// the local read range (the nodes whose masters this host must request):
+/// one bit per global node, scanned in ascending order.
+fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup) -> Vec<Node> {
+    let lo = data.node_lo();
+    let local_n = data.num_nodes() as u32;
+    let wanted = DenseBitset::new(setup.num_nodes as usize);
     data.for_each_chunk(|chunk| {
-        cusp_galois::do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, i| {
-            let v = chunk.node_lo + i as Node;
-            locals.with(tid, |out| {
-                for &d in chunk.edges(v) {
-                    if setup.reader_of(d) != me {
-                        out.push(d);
-                    }
+        do_all(pool, chunk.num_nodes(), DEFAULT_GRAIN, |i| {
+            for &d in chunk.edges(chunk.node_lo + i as Node) {
+                if d.wrapping_sub(lo) >= local_n {
+                    wanted.insert(d as usize);
                 }
-            });
+            }
         });
     });
-    let mut all: Vec<Node> = locals.into_inner().into_iter().flatten().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+    wanted.ones().map(|d| d as Node).collect()
 }
 
 fn encode_sync(kind: u8, delta: &[u64], pairs: &[(Node, PartId)]) -> bytes::Bytes {
@@ -412,7 +425,7 @@ fn encode_sync(kind: u8, delta: &[u64], pairs: &[(Node, PartId)]) -> bytes::Byte
 fn apply_sync<MR: MasterRule>(
     payload: bytes::Bytes,
     state: &MR::State,
-    remote: &mut HashMap<Node, PartId>,
+    remote: &mut RemoteMasters,
 ) -> bool {
     let mut r = WireReader::new(payload);
     let kind = r.get_u8().expect("empty sync message");
@@ -424,7 +437,7 @@ fn apply_sync<MR: MasterRule>(
     for _ in 0..n {
         let v = r.get_u32().expect("malformed pair");
         let p = r.get_u32().expect("malformed pair");
-        remote.insert(v, p);
+        remote.set(v, p);
     }
     kind == MSG_FINAL
 }
@@ -438,6 +451,7 @@ mod tests {
     use crate::state::LoadState;
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_net::Cluster;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     /// A trivially non-pure rule for protocol tests: master = node % k.
@@ -504,7 +518,7 @@ mod tests {
         for rounds in [1u32, 4, 32] {
             let results = run_assignment(4, FennelEB::new, rounds);
             // Build the global truth from local arrays.
-            let mut truth: HashMap<Node, PartId> = HashMap::new();
+            let mut truth: BTreeMap<Node, PartId> = BTreeMap::new();
             for (lo, local, _) in &results {
                 for (i, &m) in local.iter().enumerate() {
                     assert_ne!(m, UNASSIGNED);
@@ -522,30 +536,82 @@ mod tests {
         }
     }
 
+    /// Builds a table over `map`'s keys and fills it in place, the way the
+    /// sync protocol does.
+    fn filled(map: &BTreeMap<Node, PartId>) -> RemoteMasters {
+        let mut rm = RemoteMasters::new(map.keys().copied().collect());
+        for (&v, &p) in map {
+            assert_eq!(rm.get(v), None, "unassigned entry {v} must read None");
+            rm.set(v, p);
+        }
+        rm
+    }
+
     #[test]
     fn remote_masters_dense_and_sparse_forms_agree() {
         // Dense: contiguous-ish ids → window form.
-        let dense: HashMap<Node, PartId> =
+        let dense: BTreeMap<Node, PartId> =
             (100u32..400).filter(|v| v % 3 != 0).map(|v| (v, v % 5)).collect();
-        let rm = RemoteMasters::from_map(&dense);
+        let rm = filled(&dense);
+        assert!(!rm.window.is_empty());
         assert_eq!(rm.len(), dense.len());
         for v in 0u32..500 {
             assert_eq!(rm.get(v), dense.get(&v).copied(), "dense get({v})");
         }
+        let pairs: Vec<(Node, PartId)> = dense.iter().map(|(&v, &p)| (v, p)).collect();
+        assert_eq!(rm.iter().collect::<Vec<_>>(), pairs);
         // Sparse: ids scattered far beyond the dense-window cap → sorted
         // array + binary search.
-        let sparse: HashMap<Node, PartId> =
+        let sparse: BTreeMap<Node, PartId> =
             (0u32..8).map(|i| (i.wrapping_mul(100_000_003), i)).collect();
-        let rm = RemoteMasters::from_map(&sparse);
+        let rm = filled(&sparse);
+        assert!(rm.window.is_empty());
         assert_eq!(rm.len(), sparse.len());
         for (&v, &p) in &sparse {
             assert_eq!(rm.get(v), Some(p));
             assert_eq!(rm.get(v ^ 1), sparse.get(&(v ^ 1)).copied());
         }
         // Empty map.
-        let rm = RemoteMasters::from_map(&HashMap::new());
+        let rm = RemoteMasters::new(Vec::new());
         assert!(rm.is_empty());
         assert_eq!(rm.get(0), None);
+        assert_eq!(rm.first_unanswered(), None);
+    }
+
+    #[test]
+    fn unassigned_entries_read_none_and_are_reported() {
+        for keys in [vec![3u32, 9, 10, 40], vec![5u32, 2_000_000_000, 4_000_000_000]] {
+            let mut rm = RemoteMasters::new(keys.clone());
+            assert_eq!(rm.first_unanswered(), Some(keys[0]));
+            for &v in &keys {
+                assert_eq!(rm.get(v), None);
+            }
+            rm.set(keys[0], 1);
+            rm.set(keys[2], 0);
+            assert_eq!(rm.get(keys[0]), Some(1));
+            assert_eq!(rm.get(keys[1]), None, "unassigned reads None");
+            assert_eq!(rm.first_unanswered(), Some(keys[1]));
+            assert_eq!(rm.iter().count(), 2, "iter yields delivered pairs only");
+            rm.set(keys[1], 2);
+            rm.set(keys[keys.len() - 1], 2);
+            assert_eq!(rm.first_unanswered(), None);
+            check_answered(0, &rm);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "host 3: master request for node 9 went unanswered")]
+    fn unanswered_request_names_host_and_node() {
+        let mut rm = RemoteMasters::new(vec![3, 9, 10]);
+        rm.set(3, 0);
+        rm.set(10, 1);
+        check_answered(3, &rm);
+    }
+
+    #[test]
+    #[should_panic(expected = "master of 7 sent but never requested")]
+    fn unrequested_answer_is_rejected() {
+        RemoteMasters::new(vec![3, 9, 10_000_000]).set(7, 0);
     }
 
     #[test]

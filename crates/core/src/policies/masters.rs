@@ -275,6 +275,7 @@ impl MasterRule for FennelEB {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::master::RemoteMasters;
     use crate::state::PartitionState;
     use cusp_graph::{Csr, GraphSlice, ReadSplit};
 
@@ -359,7 +360,7 @@ mod tests {
             .iter()
             .map(|&v| std::sync::atomic::AtomicU32::new(v))
             .collect();
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::new(Vec::new());
         let view = MasterView::Stored {
             lo: 0,
             local: &local,
@@ -380,7 +381,7 @@ mod tests {
         let (slice, n, m) = props_for(&g, 4);
         let prop = LocalProps::new(n, m.max(1), 4, &slice);
         let state = LoadState::new(4);
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::new(Vec::new());
         let local: Vec<std::sync::atomic::AtomicU32> = (0..8)
             .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
             .collect();
@@ -415,7 +416,7 @@ mod tests {
         let prop = LocalProps::new(n, m, 2, &slice);
         let rule = FennelEB::new(&s).with_threshold(10);
         let state = LoadState::new(2);
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::new(Vec::new());
         let local: Vec<std::sync::atomic::AtomicU32> = (0..10)
             .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
             .collect();

@@ -14,13 +14,13 @@
 //! * stateful but neighbor-blind → state syncs only once, after the phase;
 //! * neighbor-aware → periodic asynchronous rounds during the phase.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cusp_graph::{Node, ReadSplit};
 
+use crate::phases::master::RemoteMasters;
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::PartId;
@@ -129,15 +129,15 @@ pub trait EdgeRule: Send + Sync {
 pub enum MasterView<'a> {
     /// Masters are a replicated pure function (no storage, no messages).
     Pure(&'a (dyn Fn(Node) -> PartId + Sync)),
-    /// Masters are stored: a dense array for the locally read range plus a
-    /// sparse map of remote assignments received so far.
+    /// Masters are stored: a dense array for the locally read range plus the
+    /// table of requested remote nodes, filled as assignments arrive.
     Stored {
         /// First node of the locally read range.
         lo: Node,
         /// Dense assignments for the local range, `UNASSIGNED` until set.
         local: &'a [AtomicU32],
-        /// Remote assignments received so far, keyed by global id.
-        remote: &'a HashMap<Node, PartId>,
+        /// Remote assignments received so far (unarrived ones read `None`).
+        remote: &'a RemoteMasters,
     },
 }
 
@@ -152,7 +152,7 @@ impl MasterView<'_> {
                     let m = local[(v - lo) as usize].load(Ordering::Relaxed);
                     (m != UNASSIGNED).then_some(m)
                 } else {
-                    remote.get(&v).copied()
+                    remote.get(v)
                 }
             }
         }
@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn stored_view_distinguishes_local_and_remote() {
         let local: Vec<AtomicU32> = vec![AtomicU32::new(2), AtomicU32::new(UNASSIGNED)];
-        let mut remote = HashMap::new();
-        remote.insert(50u32, 3u32);
+        let mut remote = RemoteMasters::new(vec![50, 60]);
+        remote.set(50, 3);
         let view = MasterView::Stored {
             lo: 10,
             local: &local,
@@ -219,13 +219,14 @@ mod tests {
         assert_eq!(view.get(10), Some(2));
         assert_eq!(view.get(11), None); // local but unassigned
         assert_eq!(view.get(50), Some(3));
-        assert_eq!(view.get(60), None); // unknown remote
+        assert_eq!(view.get(60), None); // requested, not yet arrived
+        assert_eq!(view.get(70), None); // never requested
     }
 
     #[test]
     #[should_panic(expected = "required but not yet known")]
     fn get_required_panics_on_missing() {
-        let remote = HashMap::new();
+        let remote = RemoteMasters::new(Vec::new());
         let view = MasterView::Stored {
             lo: 0,
             local: &[],

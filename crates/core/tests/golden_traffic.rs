@@ -11,6 +11,11 @@
 //! message counts are as stable as byte counts; `deterministic_sync` makes
 //! the partitions bit-reproducible.
 //!
+//! FEC's full runs pin the stored-master protocol the same way: the master
+//! phase's request, SYNC and FINAL messages carry the sorted request lists
+//! and the Fennel assignments, and edge assignment ships master and mirror
+//! lists next to the count vectors.
+//!
 //! On a mismatch the test prints the observed table as a Rust literal. A
 //! change that is meant to alter the wire format or the partitions must
 //! say so; any other change has to leave these constants alone.
@@ -131,6 +136,22 @@ fn render(stats: &CommStats, fp: u64) -> String {
     s + &format!("    ],\n    fingerprint: {fp:#018x},\n}}")
 }
 
+/// Runs a full FEC partition of the base graph; returns its stats and
+/// fingerprint. FEC's masters are stored (Fennel scoring), so the master
+/// phase carries the request/SYNC/FINAL protocol and edge assignment ships
+/// master lists and mirror lists alongside the count vectors. (FEC has no
+/// delta path: a non-pure master rule falls back to a full run.)
+fn run_fec(weighted: bool) -> (CommStats, u64) {
+    let graph = Arc::new(powerlaw(PowerLawConfig::webcrawl(5000, 10.0, 42)));
+    let weights = weighted.then(|| Arc::new(hash_weights(&graph)));
+    let src = source(&graph, &weights);
+    let full = Cluster::run(HOSTS, move |comm| {
+        partition_with_policy(comm, src.clone(), PolicyKind::Fec, &cfg())
+    });
+    let fp = fingerprint(&full.results);
+    (full.stats, fp)
+}
+
 fn check(label: &str, (stats, fp): &(CommStats, u64), golden: &Golden) {
     let observed = render(stats, *fp);
     let names: Vec<&str> = stats.phase_names().iter().map(String::as_str).collect();
@@ -157,7 +178,7 @@ fn check(label: &str, (stats, fp): &(CommStats, u64), golden: &Golden) {
         *fp, golden.fingerprint,
         "{label}: fingerprint moved; observed:\n{observed}"
     );
-    // Not vacuous: HVC moves edges, so construction carries traffic.
+    // Not vacuous: HVC and FEC move edges, so construction carries traffic.
     let construct = stats.phase("construct").unwrap();
     assert!(
         construct.total_bytes() > 0,
@@ -181,6 +202,88 @@ fn hvc_traffic_and_fingerprints_are_golden_weighted() {
     check("full weighted", &full, &FULL_WEIGHTED);
     check("delta weighted", &delta, &DELTA_WEIGHTED);
 }
+
+// Recorded from the implementation that still sorted and deduplicated the
+// master requests and mirror lists and kept remote masters in a hash map.
+
+#[test]
+fn fec_traffic_and_fingerprints_are_golden_unweighted() {
+    check("FEC unweighted", &run_fec(false), &FEC_UNWEIGHTED);
+}
+
+#[test]
+fn fec_traffic_and_fingerprints_are_golden_weighted() {
+    check("FEC weighted", &run_fec(true), &FEC_WEIGHTED);
+}
+
+const FEC_UNWEIGHTED: Golden = Golden {
+    traffic: &[
+        ("(untagged)", ZERO, ZERO),
+        ("read", ZERO, ZERO),
+        (
+            "master",
+            [
+                0, 9786, 10670, 11046, 8986, 0, 10958, 11506, 9878, 10970, 0, 12770, 10282, 11562,
+                12770, 0,
+            ],
+            [0, 11, 11, 11, 11, 0, 11, 11, 11, 11, 0, 11, 11, 11, 11, 0],
+        ),
+        (
+            "edge_assign",
+            [
+                0, 14269, 12925, 12465, 14341, 0, 14425, 14117, 16637, 17509, 0, 16957, 17249,
+                17181, 17561, 0,
+            ],
+            [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0],
+        ),
+        ("alloc", ZERO, ZERO),
+        (
+            "construct",
+            [
+                0, 14816, 12000, 11008, 12040, 0, 11264, 11256, 14036, 14596, 0, 14092, 13704,
+                13252, 14008, 0,
+            ],
+            [
+                0, 144, 122, 123, 131, 0, 121, 120, 152, 150, 0, 146, 149, 137, 150, 0,
+            ],
+        ),
+    ],
+    fingerprint: 0x900916589a61aa94,
+};
+const FEC_WEIGHTED: Golden = Golden {
+    traffic: &[
+        ("(untagged)", ZERO, ZERO),
+        ("read", ZERO, ZERO),
+        (
+            "master",
+            [
+                0, 9786, 10670, 11046, 8986, 0, 10958, 11506, 9878, 10970, 0, 12770, 10282, 11562,
+                12770, 0,
+            ],
+            [0, 11, 11, 11, 11, 0, 11, 11, 11, 11, 0, 11, 11, 11, 11, 0],
+        ),
+        (
+            "edge_assign",
+            [
+                0, 14269, 12925, 12465, 14341, 0, 14425, 14117, 16637, 17509, 0, 16957, 17249,
+                17181, 17561, 0,
+            ],
+            [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0],
+        ),
+        ("alloc", ZERO, ZERO),
+        (
+            "construct",
+            [
+                0, 27512, 22056, 20072, 22024, 0, 20680, 20624, 25728, 26920, 0, 25952, 25048,
+                24240, 25664, 0,
+            ],
+            [
+                0, 194, 178, 176, 185, 0, 168, 164, 200, 206, 0, 199, 215, 206, 211, 0,
+            ],
+        ),
+    ],
+    fingerprint: 0xf04300ac91d24cc8,
+};
 
 const FULL_UNWEIGHTED: Golden = Golden {
     traffic: &[

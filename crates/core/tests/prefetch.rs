@@ -149,7 +149,7 @@ fn crash_during_prefetch_recovers_bit_identical() {
     };
     let run_crash = |crash: Option<CrashPlan>| {
         let src = src.clone();
-        let opts = ClusterOptions { crash, recovery: recovery.clone(), ..ClusterOptions::default() };
+        let opts = ClusterOptions { crash, recovery, ..ClusterOptions::default() };
         let out = Cluster::try_run_with(hosts, opts, move |comm| {
             partition_with_policy(comm, src.clone(), PolicyKind::Cvc, &pf_cfg()).dist_graph
         })

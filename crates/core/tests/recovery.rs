@@ -73,6 +73,9 @@ fn det_cfg(chunk: Option<u64>, ckpt: Option<PathBuf>) -> CuspConfig {
     }
 }
 
+/// One run's partitions, traffic, recovery report and trace.
+type RunOutput = (Vec<DistGraph>, CommStats, Option<RecoveryReport>, Option<cusp_obs::Trace>);
+
 fn run(
     hosts: usize,
     kind: PolicyKind,
@@ -80,8 +83,7 @@ fn run(
     crash: Option<CrashPlan>,
     cfg: CuspConfig,
     trace: Option<TraceConfig>,
-) -> Result<(Vec<DistGraph>, CommStats, Option<RecoveryReport>, Option<cusp_obs::Trace>), ClusterError>
-{
+) -> Result<RunOutput, ClusterError> {
     let opts = ClusterOptions {
         crash,
         recovery: fast_recovery(),
