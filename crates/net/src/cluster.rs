@@ -32,8 +32,9 @@
 //! detects the death by heartbeat staleness, tears the host down (draining
 //! its mailboxes so in-flight messages become *counted* losses instead of
 //! `unconserved_pairs` false positives), re-delivers everything peers ever
-//! sent it from per-destination send logs, and respawns the thread with
-//! exponential backoff. The respawned incarnation re-executes from scratch
+//! sent it from per-destination send logs, and respawns the thread when the
+//! shared [`Supervisor`] says its backoff is over. The respawned
+//! incarnation re-executes from scratch
 //! — or from a phase checkpoint, if the application restores one via
 //! [`Comm::restore_net`] — regenerating byte-identical sends under the
 //! deterministic-sync contract; the resequencer's sequence numbers dedupe
@@ -55,8 +56,9 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::{fnv1a, CrashPlan, FaultPlan, FaultReport, FaultStats};
 use crate::recovery::{
     ClusterError, CrashSignal, LostSignal, NetCheckpoint, RecoveryOptions, RecoveryReport,
+    Supervisor,
 };
-use crate::serialize::{decode_envelope, encode_envelope};
+use crate::serialize::{decode_envelope, encode_envelope, WireEnvelope};
 use crate::stats::{CommStats, StatsCollector};
 use crate::transport::{LocalTransport, TcpTransport, Transport};
 
@@ -76,9 +78,6 @@ pub const MAX_TAGS: usize = 32;
 /// How often blocked operations re-check the poison flag.
 const POISON_POLL: Duration = Duration::from_millis(50);
 
-/// How often the supervisor wakes to check heartbeat staleness.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
-
 /// One in-flight message: transport metadata plus the payload.
 #[derive(Clone)]
 pub(crate) struct Envelope {
@@ -88,6 +87,12 @@ pub(crate) struct Envelope {
     /// The sender's accounting phase at send time.
     pub(crate) phase: u32,
     pub(crate) payload: Bytes,
+}
+
+impl From<WireEnvelope> for Envelope {
+    fn from(we: WireEnvelope) -> Self {
+        Envelope { src: we.src as HostId, seq: we.seq, phase: we.phase, payload: we.payload }
+    }
 }
 
 type Mailbox = (Sender<Envelope>, Receiver<Envelope>);
@@ -216,7 +221,6 @@ struct RecoveryLayer {
     /// Set once a host exhausts its restart budget; aborts the run.
     lost: AtomicBool,
     crashes: AtomicU64,
-    restarts: AtomicU64,
     lost_in_teardown: AtomicU64,
     start: Instant,
 }
@@ -234,7 +238,6 @@ impl RecoveryLayer {
             consumed_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             lost: AtomicBool::new(false),
             crashes: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             lost_in_teardown: AtomicU64::new(0),
             start: Instant::now(),
         }
@@ -245,17 +248,17 @@ impl RecoveryLayer {
         self.beats[host].store(self.start.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
-    /// Whether `host`'s last heartbeat is older than the timeout.
-    fn stale(&self, host: usize) -> bool {
-        let now = self.start.elapsed().as_millis() as u64;
-        now.saturating_sub(self.beats[host].load(Ordering::Relaxed))
-            >= self.opts.heartbeat_timeout.as_millis() as u64
+    /// When `host`'s last heartbeat becomes older than the timeout
+    /// (`None`: past the clock's range, never).
+    fn stale_at(&self, host: usize) -> Option<Instant> {
+        let beat = Duration::from_millis(self.beats[host].load(Ordering::Relaxed));
+        (self.start + beat).checked_add(self.opts.heartbeat_timeout)
     }
 
-    fn report(&self) -> RecoveryReport {
+    fn report(&self, restarts: u64) -> RecoveryReport {
         RecoveryReport {
             crashes: self.crashes.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
+            restarts,
             lost_in_teardown: self.lost_in_teardown.load(Ordering::Relaxed),
         }
     }
@@ -336,13 +339,8 @@ impl Fabric {
         if self.poisoned.load(Ordering::Acquire) {
             panic!("cluster poisoned: a peer host panicked");
         }
-        if self.remote_lost.load(Ordering::Acquire) != NO_PEER_LOST {
+        if self.should_abort() {
             std::panic::resume_unwind(Box::new(LostSignal));
-        }
-        if let Some(rec) = &self.recovery {
-            if rec.lost.load(Ordering::Acquire) {
-                std::panic::resume_unwind(Box::new(LostSignal));
-            }
         }
     }
 
@@ -503,10 +501,9 @@ impl Fabric {
         if let Some(layer) = &self.fault {
             layer.holdback[host].lock().clear();
         }
-        for dst in 0..self.hosts {
-            for tag in 0..MAX_TAGS {
-                self.seqs[(host * self.hosts + dst) * MAX_TAGS + tag].store(0, Ordering::Relaxed);
-            }
+        let row = self.cell(host, 0, Tag(0));
+        for seq in &self.seqs[row..row + self.hosts * MAX_TAGS] {
+            seq.store(0, Ordering::Relaxed);
         }
         let entries: Vec<(Tag, Envelope)> = rec.log[host]
             .lock()
@@ -526,12 +523,16 @@ impl Fabric {
     }
 }
 
+/// One message ready for the application: source, sequence number (so
+/// consumption can be tracked per channel), payload.
+type Ready = (HostId, u64, Bytes);
+type ReadyQueue = std::collections::VecDeque<Ready>;
+
 /// Receive-side state: the resequencer plus ready (application-visible)
 /// messages, all per tag.
 struct RecvState {
-    /// Messages in delivery order, ready for the application (the sequence
-    /// number rides along so consumption can be tracked per channel).
-    ready: Vec<std::collections::VecDeque<(HostId, u64, Bytes)>>,
+    /// Messages in delivery order, ready for the application.
+    ready: Vec<ReadyQueue>,
     /// `next[tag][src]` — the next expected sequence number.
     next: Vec<Vec<u64>>,
     /// `stash[tag][src]` — out-of-order envelopes awaiting predecessors.
@@ -724,16 +725,7 @@ impl Comm {
             // stay conserved the same way everywhere.
             let frame = encode_envelope(tag.0, env.src as u64, env.phase, env.seq, &env.payload);
             let we = decode_envelope(frame).expect("loopback envelope survives the wire codec");
-            self.fabric.deliver(
-                dst,
-                tag,
-                Envelope {
-                    src: we.src as HostId,
-                    seq: we.seq,
-                    phase: we.phase,
-                    payload: we.payload,
-                },
-            );
+            self.fabric.deliver(dst, tag, we.into());
         } else {
             self.fabric.log_send(dst, tag, &env);
             self.fabric.transport.ship(&self.fabric, dst, tag, env);
@@ -810,48 +802,33 @@ impl Comm {
 
     /// Receives the next message of `tag` from any source, blocking.
     pub fn recv_any(&self, tag: Tag) -> (HostId, Bytes) {
-        loop {
-            self.heartbeat();
-            let hit = {
-                let mut st = self.recv.lock();
-                st.ready[tag.0 as usize].pop_front()
-            };
-            if let Some((src, seq, payload)) = hit {
-                self.note_consumed(src, tag, seq);
-                self.note_op();
-                return (src, payload);
-            }
-            self.fabric.flush_holdback(self.host);
-            match self.mailbox(tag).recv_timeout(POISON_POLL) {
-                Ok(env) => {
-                    let mut st = self.recv.lock();
-                    self.ingest(&mut st, tag, env);
-                    self.drain_channel(&mut st, tag);
-                }
-                Err(RecvTimeoutError::Timeout) => self.fabric.check_abort(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("mailbox disconnected")
-                }
-            }
-        }
+        self.recv_ready(tag, |q| q.pop_front())
     }
 
     /// Receives the next message of `tag` from `src` specifically, blocking.
     /// Messages from other sources that arrive first stay buffered.
     pub fn recv_from(&self, src: HostId, tag: Tag) -> Bytes {
+        self.recv_ready(tag, |q| {
+            let pos = q.iter().position(|(s, _, _)| *s == src)?;
+            q.remove(pos)
+        })
+        .1
+    }
+
+    /// Blocks until `pick` takes a message out of `tag`'s ready queue,
+    /// feeding the resequencer from the mailbox meanwhile.
+    fn recv_ready(
+        &self,
+        tag: Tag,
+        pick: impl Fn(&mut ReadyQueue) -> Option<Ready>,
+    ) -> (HostId, Bytes) {
         loop {
             self.heartbeat();
-            let hit = {
-                let mut st = self.recv.lock();
-                let q = &mut st.ready[tag.0 as usize];
-                q.iter()
-                    .position(|(s, _, _)| *s == src)
-                    .map(|pos| q.remove(pos).expect("position valid"))
-            };
-            if let Some((_, seq, payload)) = hit {
+            let hit = pick(&mut self.recv.lock().ready[tag.0 as usize]);
+            if let Some((src, seq, payload)) = hit {
                 self.note_consumed(src, tag, seq);
                 self.note_op();
-                return payload;
+                return (src, payload);
             }
             self.fabric.flush_holdback(self.host);
             match self.mailbox(tag).recv_timeout(POISON_POLL) {
@@ -1111,7 +1088,8 @@ impl Cluster {
             .map(|cfg| cusp_obs::Recorder::with_capacity(cfg.ring_capacity));
         let results: Vec<Mutex<Option<R>>> = (0..hosts).map(|_| Mutex::new(None)).collect();
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut lost: Option<(usize, u32)> = None;
+        let mut sup = Supervisor::new(hosts, opts.recovery);
+        let mut lost: Option<ClusterError> = None;
 
         std::thread::scope(|scope| {
             let (tx, rx) = unbounded::<(usize, HostExit)>();
@@ -1144,16 +1122,63 @@ impl Cluster {
                     })
                     .expect("failed to spawn host thread")
             };
+            // Supervisor-side events land on the host's pid under a
+            // dedicated "supervisor" thread track.
+            let track = |h: usize| recorder.as_ref().map(|r| r.attach(h as u32, "supervisor"));
 
             let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> =
                 (0..hosts).map(|h| Some(spawn_host(h, 0))).collect();
             let mut running = hosts;
             // Crashed hosts awaiting heartbeat-staleness detection.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut attempts = vec![0u32; hosts];
+            let mut crashed: Vec<usize> = Vec::new();
 
-            while running > 0 || !pending.is_empty() {
-                match rx.recv_timeout(SUPERVISOR_POLL) {
+            loop {
+                // Act on everything due now, then sleep until the next
+                // staleness or respawn deadline — or, with none pending,
+                // until a host exits. Once the run is going down, crashed
+                // hosts stay down.
+                let down = lost.is_some() || fabric.poisoned.load(Ordering::Acquire);
+                let mut wake = None;
+                if let Some(rec) = fabric.recovery.as_ref().filter(|_| !down) {
+                    let now = Instant::now();
+                    crashed.retain(|&h| {
+                        // The victim's heartbeat froze at death; "detection"
+                        // is that staleness crossing the timeout, exactly as
+                        // for a silently hung host.
+                        if rec.stale_at(h).is_none_or(|t| now < t) {
+                            return true;
+                        }
+                        let _obs = track(h);
+                        cusp_obs::instant("host_detect", sup.incarnation(h) as u64 + 1);
+                        if let Err(e @ ClusterError::HostLost { restarts, .. }) = sup.died(h, now) {
+                            cusp_obs::instant("host_lost", restarts as u64);
+                            lost = Some(e);
+                            fabric.abort_lost();
+                        }
+                        false
+                    });
+                    for (h, epoch) in sup.due(now) {
+                        fabric.prepare_restart(h);
+                        // Fresh grace period for the new incarnation.
+                        rec.beat(h);
+                        let _obs = track(h);
+                        cusp_obs::instant("host_restart", epoch as u64);
+                        handles[h] = Some(spawn_host(h, epoch as u64));
+                        running += 1;
+                    }
+                    let stale = crashed.iter().filter_map(|&h| rec.stale_at(h));
+                    wake = stale.chain(sup.next_deadline()).min();
+                } else {
+                    crashed.clear();
+                }
+                if running == 0 && wake.is_none() {
+                    break;
+                }
+                let exit = match wake {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+                match exit {
                     Ok((h, exit)) => {
                         if let Some(handle) = handles[h].take() {
                             let _ = handle.join();
@@ -1161,7 +1186,7 @@ impl Cluster {
                         running -= 1;
                         match exit {
                             HostExit::Done | HostExit::Aborted => {}
-                            HostExit::Crashed => pending.push(h),
+                            HostExit::Crashed => crashed.push(h),
                             HostExit::Panicked(p) => {
                                 if first_panic.is_none() {
                                     first_panic = Some(p);
@@ -1172,49 +1197,6 @@ impl Cluster {
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
-                if fabric.poisoned.load(Ordering::Acquire) || lost.is_some() {
-                    // The run is going down; crashed hosts stay down.
-                    pending.clear();
-                    continue;
-                }
-                let Some(rec) = &fabric.recovery else {
-                    pending.clear();
-                    continue;
-                };
-                let mut i = 0;
-                while i < pending.len() {
-                    let h = pending[i];
-                    // The victim's heartbeat froze at death; "detection"
-                    // is that staleness crossing the timeout, exactly as
-                    // it would for a silently hung host.
-                    if !rec.stale(h) {
-                        i += 1;
-                        continue;
-                    }
-                    pending.remove(i);
-                    attempts[h] += 1;
-                    // Supervisor-side events land on the dead host's pid
-                    // under a dedicated "supervisor" thread track.
-                    let _obs = recorder.as_ref().map(|r| r.attach(h as u32, "supervisor"));
-                    cusp_obs::instant("host_detect", attempts[h] as u64);
-                    if attempts[h] > rec.opts.max_restarts {
-                        cusp_obs::instant("host_lost", (attempts[h] - 1) as u64);
-                        lost = Some((h, attempts[h] - 1));
-                        fabric.abort_lost();
-                        continue;
-                    }
-                    let backoff =
-                        rec.opts.restart_backoff * (1u32 << (attempts[h] - 1).min(10));
-                    std::thread::sleep(backoff);
-                    fabric.prepare_restart(h);
-                    rec.restarts.fetch_add(1, Ordering::Relaxed);
-                    // Fresh grace period for the new incarnation.
-                    rec.beat(h);
-                    let epoch = attempts[h] as u64;
-                    cusp_obs::instant("host_restart", epoch);
-                    handles[h] = Some(spawn_host(h, epoch));
-                    running += 1;
-                }
             }
             for handle in handles.iter_mut().filter_map(|h| h.take()) {
                 let _ = handle.join();
@@ -1224,8 +1206,8 @@ impl Cluster {
         if let Some(p) = first_panic {
             std::panic::resume_unwind(p);
         }
-        if let Some((host, restarts)) = lost {
-            return Err(ClusterError::HostLost { host, restarts });
+        if let Some(e) = lost {
+            return Err(e);
         }
 
         Ok(ClusterOutput {
@@ -1235,7 +1217,7 @@ impl Cluster {
                 .collect(),
             stats: fabric.stats.snapshot(),
             faults: fabric.fault.as_ref().map(|l| l.stats.report()),
-            recovery: fabric.recovery.as_ref().map(|r| r.report()),
+            recovery: fabric.recovery.as_ref().map(|r| r.report(sup.respawns())),
             // All host threads (and any pool workers they owned) have
             // joined, so the rings are quiescent.
             trace: recorder.map(|r| r.drain()),
@@ -1287,10 +1269,9 @@ impl Cluster {
         fabric.transport.start(&fabric);
         // A respawned process (incarnation > 0) runs at that restart
         // epoch, so checkpoint-aware callers resume instead of starting
-        // over — the cross-process analogue of the supervisor respawning a
-        // host thread at epoch `attempts`. The same `host_restart` instant
-        // the in-process supervisor emits marks the restart in this
-        // process's trace.
+        // over — as a host thread respawned in-process does. The same
+        // `host_restart` instant the in-process supervisor emits marks the
+        // restart in this process's trace.
         if incarnation > 0 {
             cusp_obs::instant("host_restart", incarnation as u64);
         }

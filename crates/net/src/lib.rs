@@ -49,7 +49,9 @@ pub use cluster::{
     Cluster, ClusterOptions, ClusterOutput, Comm, HostId, Tag, TcpRunOutput, TraceConfig, MAX_TAGS,
 };
 pub use fault::{CrashPlan, FaultPlan, FaultReport, KillDecision, KillMode, KillPlan};
-pub use recovery::{ClusterError, NetCheckpoint, RecoveryOptions, RecoveryReport};
+pub use recovery::{
+    restart_backoff, ClusterError, NetCheckpoint, RecoveryOptions, RecoveryReport, Supervisor,
+};
 pub use model::NetworkModel;
 pub use serialize::{
     decode_envelope, encode_envelope, EnvelopeError, WireEnvelope, WireError, WireReader,

@@ -1,11 +1,13 @@
 //! Host-crash recovery: the public knobs, reports, and the transport
 //! checkpoint a restarted host resumes from.
 //!
-//! The moving parts live in `cluster.rs` (supervisor, send logs, replay)
-//! and `fault.rs` ([`crate::CrashPlan`]); this module holds the types that
-//! cross the crate boundary:
+//! The moving parts live in `cluster.rs` (in-process supervisor, send
+//! logs, replay) and `fault.rs` ([`crate::CrashPlan`]); this module holds
+//! the types that cross the crate boundary:
 //!
 //! * [`RecoveryOptions`] — heartbeat timeout, restart budget, backoff;
+//! * [`Supervisor`] — the restart policy both supervisors (the in-process
+//!   cluster and `cusp-part launch`) run;
 //! * [`ClusterError`] — the clean terminal failure (`HostLost`) a cluster
 //!   returns instead of hanging when the budget is exhausted;
 //! * [`RecoveryReport`] — counters proving what the recovery machinery did
@@ -19,7 +21,7 @@
 //!   host restarts from zero — still bit-identical under the determinism
 //!   contract, just with more re-execution.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::serialize::{WireReader, WireWriter};
 use crate::stats::PhaseTraffic;
@@ -50,8 +52,8 @@ pub struct RecoveryOptions {
     /// Restart attempts per host before the cluster gives up with
     /// [`ClusterError::HostLost`].
     pub max_restarts: u32,
-    /// Base delay before the first respawn; doubles per attempt
-    /// (exponential backoff).
+    /// Base delay before the first respawn; doubles per attempt (see
+    /// [`restart_backoff`]).
     pub restart_backoff: Duration,
 }
 
@@ -62,6 +64,94 @@ impl Default for RecoveryOptions {
             max_restarts: 3,
             restart_backoff: Duration::from_millis(10),
         }
+    }
+}
+
+/// Doublings after which the restart backoff stops growing.
+const MAX_BACKOFF_DOUBLINGS: u32 = 8;
+
+/// The delay before restart number `attempt` (1-based) of one host:
+/// `base × 2^min(attempt − 1, 8)`, saturating at [`Duration::MAX`].
+pub fn restart_backoff(base: Duration, attempt: u32) -> Duration {
+    base.saturating_mul(1 << attempt.saturating_sub(1).min(MAX_BACKOFF_DOUBLINGS))
+}
+
+/// The restart policy both supervisors run — the in-process cluster
+/// ([`crate::Cluster::try_run_with`]) and `cusp-part launch`: per-host
+/// incarnations, the restart budget, the backoff schedule, and which
+/// respawns are due. It never reads the clock (every call takes `now`), so
+/// a model test drives it without sleeping. Each supervisor detects
+/// deaths its own way, reports them to [`Supervisor::died`], and respawns
+/// what [`Supervisor::due`] returns.
+#[derive(Debug, Clone)]
+pub struct Supervisor {
+    opts: RecoveryOptions,
+    /// Incarnation each host runs (or last ran) at: its respawns so far.
+    incarnation: Vec<u32>,
+    /// Respawns waiting out their backoff, in death order, with their
+    /// deadline (`None`: past the clock's range, never due).
+    pending: Vec<(usize, Option<Instant>)>,
+    /// Set once a host exhausts its budget; nothing respawns after that.
+    lost: bool,
+}
+
+impl Supervisor {
+    /// All `hosts` running at incarnation 0 with a full budget.
+    pub fn new(hosts: usize, opts: RecoveryOptions) -> Self {
+        Supervisor { opts, incarnation: vec![0; hosts], pending: Vec::new(), lost: false }
+    }
+
+    /// The incarnation `host` runs at (0 before its first respawn).
+    pub fn incarnation(&self, host: usize) -> u32 {
+        self.incarnation[host]
+    }
+
+    /// Respawns fired across all hosts.
+    pub fn respawns(&self) -> u64 {
+        self.incarnation.iter().map(|&i| i as u64).sum()
+    }
+
+    /// Whether `host` is dead and waiting out its backoff.
+    pub fn pending(&self, host: usize) -> bool {
+        !self.lost && self.pending.iter().any(|&(h, _)| h == host)
+    }
+
+    /// Reports that running `host` died at `now`. Within budget, schedules
+    /// its respawn and returns the backoff; once `host` has used all
+    /// `max_restarts`, the run is lost and no respawn fires any more.
+    pub fn died(&mut self, host: usize, now: Instant) -> Result<Duration, ClusterError> {
+        let restarts = self.incarnation[host];
+        if restarts >= self.opts.max_restarts {
+            self.lost = true;
+            return Err(ClusterError::HostLost { host, restarts });
+        }
+        let backoff = restart_backoff(self.opts.restart_backoff, restarts + 1);
+        self.pending.push((host, now.checked_add(backoff)));
+        Ok(backoff)
+    }
+
+    /// Fires every respawn due at `now`, returning `(host, incarnation)`
+    /// for each in death order.
+    pub fn due(&mut self, now: Instant) -> Vec<(usize, u32)> {
+        let mut fired = Vec::new();
+        if !self.lost {
+            self.pending.retain(|&(h, at)| {
+                let due = at.is_some_and(|at| at <= now);
+                if due {
+                    self.incarnation[h] += 1;
+                    fired.push((h, self.incarnation[h]));
+                }
+                !due
+            });
+        }
+        fired
+    }
+
+    /// The earliest pending respawn deadline; `None` when nothing will
+    /// come due.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        let deadlines = self.pending.iter().filter_map(|&(_, at)| at);
+        deadlines.min().filter(|_| !self.lost)
     }
 }
 

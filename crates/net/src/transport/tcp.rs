@@ -228,6 +228,10 @@ struct TcpShared {
     fin_received: Vec<AtomicBool>,
     /// Set by `finish` so readers and the monitor stand down.
     shutting_down: AtomicBool,
+    /// Dropped by `finish`: disconnects `stop_rx`, waking the monitor and
+    /// the rejoin acceptor out of their poll waits at once.
+    stop_tx: Mutex<Option<Sender<()>>>,
+    stop_rx: Receiver<()>,
     /// Set when a clean FIN has been enqueued, so a later rejoin re-sends
     /// it on the fresh connection.
     fin_sent: AtomicBool,
@@ -264,6 +268,13 @@ impl TcpShared {
 
     fn stopped(&self, fabric: &Fabric) -> bool {
         self.shutting_down.load(Ordering::Acquire) || fabric.should_abort()
+    }
+
+    /// Waits up to `poll` for `finish` to raise the stop signal; `true`
+    /// once it has (or the run aborted).
+    fn wait_stop(&self, fabric: &Fabric, poll: Duration) -> bool {
+        let _ = self.stop_rx.recv_timeout(poll);
+        self.stopped(fabric)
     }
 }
 
@@ -425,6 +436,7 @@ impl TcpTransport {
         }
         let (listener, accepted) = accepted?;
 
+        let (stop_tx, stop_rx) = unbounded();
         let shared = Arc::new(TcpShared {
             me,
             hosts,
@@ -436,6 +448,8 @@ impl TcpTransport {
             last_heard: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
             fin_received: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
             shutting_down: AtomicBool::new(false),
+            stop_tx: Mutex::new(Some(stop_tx)),
+            stop_rx,
             fin_sent: AtomicBool::new(false),
             outbound: outbound.into_iter().map(Mutex::new).collect(),
             send_log: (0..hosts).map(|_| Mutex::new(Vec::new())).collect(),
@@ -584,6 +598,7 @@ impl Transport for TcpTransport {
             }
         }
         self.shared.shutting_down.store(true, Ordering::Release);
+        drop(self.shared.stop_tx.lock().take());
         loop {
             // Rejoin handlers may add writer/reader threads concurrently
             // with this join; drain until the list stays empty.
@@ -862,14 +877,11 @@ fn accept_peers(
 /// ignored, for non-protocol garbage). Runs until shutdown or abort.
 fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
     // `establish` left the listener non-blocking; keep polling it.
-    loop {
-        if shared.stopped(&fabric) {
-            return;
-        }
+    while !shared.stopped(&fabric) {
         let mut stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
-                std::thread::sleep(REJOIN_POLL);
+                shared.wait_stop(&fabric, REJOIN_POLL);
                 continue;
             }
         };
@@ -1164,16 +1176,7 @@ fn reader_loop(
                 let body = Bytes::from(frame).slice(1..);
                 match decode_envelope(body) {
                     Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
-                        fabric.dispatch(
-                            shared.me,
-                            Tag(we.tag),
-                            Envelope {
-                                src: peer,
-                                seq: we.seq,
-                                phase: we.phase,
-                                payload: we.payload,
-                            },
-                        );
+                        fabric.dispatch(shared.me, Tag(we.tag), we.into());
                     }
                     _ => {
                         peer_failed(&fabric, &shared, peer, gen);
@@ -1209,11 +1212,7 @@ fn reader_loop(
 fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
     let silence_ms = shared.opts.peer_timeout.as_millis() as u64;
     let window_ms = shared.opts.rejoin_window.as_millis() as u64;
-    loop {
-        std::thread::sleep(MONITOR_POLL);
-        if shared.stopped(&fabric) {
-            return;
-        }
+    while !shared.wait_stop(&fabric, MONITOR_POLL) {
         let now = shared.now_ms();
         let mut all_fin = true;
         for peer in (0..shared.hosts).filter(|&p| p != shared.me) {

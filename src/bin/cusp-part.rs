@@ -136,6 +136,18 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
+/// The numeric value of optional flag `--name`, or `default` when absent.
+fn flag_or<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
+    flags.get(name).map_or(default, |s| parse_num(s, name))
+}
+
+fn parse_policy(name: &str) -> PolicyKind {
+    PolicyKind::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown policy '{name}'");
+        usage()
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -163,11 +175,8 @@ fn main() {
 fn cmd_gen(flags: &HashMap<String, String>) {
     let kind = required(flags, "kind");
     let nodes: usize = parse_num(required(flags, "nodes"), "node count");
-    let degree: f64 = flags
-        .get("degree")
-        .map(|s| parse_num(s, "degree"))
-        .unwrap_or(16.0);
-    let seed: u64 = flags.get("seed").map(|s| parse_num(s, "seed")).unwrap_or(42);
+    let degree: f64 = flag_or(flags, "degree", 16.0);
+    let seed: u64 = flag_or(flags, "seed", 42);
     let out = PathBuf::from(required(flags, "out"));
     let graph = match kind {
         "kron" => {
@@ -190,26 +199,21 @@ fn cmd_gen(flags: &HashMap<String, String>) {
 
 fn cmd_convert(flags: &HashMap<String, String>) {
     let out = PathBuf::from(required(flags, "out"));
+    let open = |path: &str| {
+        let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
+        std::io::BufReader::new(file)
+    };
     let (input, graph) = if let Some(path) = flags.get("edgelist") {
-        let input = PathBuf::from(path);
-        let file = std::fs::File::open(&input).expect("cannot open edge list");
-        let graph =
-            edgelist::read_edge_list(std::io::BufReader::new(file)).expect("parse failed");
-        (input, graph)
+        (path, edgelist::read_edge_list(open(path)).expect("parse failed"))
     } else if let Some(path) = flags.get("metis") {
-        let input = PathBuf::from(path);
-        let file = std::fs::File::open(&input).expect("cannot open metis file");
-        let graph =
-            cusp_graph::metis::read_metis(std::io::BufReader::new(file)).expect("parse failed");
-        (input, graph)
+        (path, cusp_graph::metis::read_metis(open(path)).expect("parse failed"))
     } else {
         eprintln!("convert needs --edgelist or --metis");
         usage()
     };
     write_bgr(&out, &graph).expect("failed to write graph");
     println!(
-        "converted {} -> {} ({} nodes, {} edges)",
-        input.display(),
+        "converted {input} -> {} ({} nodes, {} edges)",
         out.display(),
         graph.num_nodes(),
         graph.num_edges()
@@ -245,17 +249,13 @@ fn cmd_validate(flags: &HashMap<String, String>) {
     let graph_path = PathBuf::from(required(flags, "graph"));
     let dir = PathBuf::from(required(flags, "parts"));
     let original = read_bgr(&graph_path).expect("cannot read graph");
-    let mut parts = Vec::new();
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
+    let mut parts: Vec<_> = std::fs::read_dir(&dir)
         .expect("cannot read parts dir")
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "part"))
+        .map(|path| cusp::read_partition(&path).expect("cannot read partition"))
         .collect();
-    entries.sort();
-    for path in entries {
-        parts.push(cusp::read_partition(&path).expect("cannot read partition"));
-    }
     parts.sort_by_key(|p| p.part_id);
     if parts.is_empty() {
         eprintln!("no .part files in {}", dir.display());
@@ -283,13 +283,10 @@ fn cmd_trace_check(positional: &[String]) {
         eprintln!("trace-check needs a trace JSON file");
         usage()
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{path}: cannot read trace file: {e}");
-            exit(1);
-        }
-    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("{path}: cannot read trace file: {e}");
+        exit(1)
+    });
     match cusp_obs::validate_trace_json(&text) {
         Ok(check) => println!(
             "{path}: ok — {} events ({} span events, {} flow pairs, {} crash / {} restart marks) across {} host(s)",
@@ -338,18 +335,9 @@ where
 /// launched worker and the comparison simulator run identical configs).
 fn cusp_cfg_from_flags(flags: &HashMap<String, String>) -> CuspConfig {
     let mut cfg = CuspConfig {
-        sync_rounds: flags
-            .get("sync-rounds")
-            .map(|s| parse_num(s, "sync rounds"))
-            .unwrap_or(10),
-        buffer_threshold: flags
-            .get("buffer")
-            .map(|s| parse_num(s, "buffer bytes"))
-            .unwrap_or(256 << 10),
-        threads_per_host: flags
-            .get("threads")
-            .map(|s| parse_num(s, "threads"))
-            .unwrap_or(2),
+        sync_rounds: flag_or(flags, "sync-rounds", 10),
+        buffer_threshold: flag_or(flags, "buffer", 256 << 10),
+        threads_per_host: flag_or(flags, "threads", 2),
         output: if flags.contains_key("csc") {
             OutputFormat::Csc
         } else {
@@ -410,10 +398,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
             out.recovery,
         )
     } else {
-        let Some(kind) = PolicyKind::parse(&policy_name) else {
-            eprintln!("unknown policy '{policy_name}'");
-            usage()
-        };
+        let kind = parse_policy(&policy_name);
         let cfg2 = cfg.clone();
         let out = run_cluster_or_exit(hosts, opts, move |comm| {
             let r = partition_with_policy(comm, source.clone(), kind, &cfg2);
@@ -519,15 +504,9 @@ fn cmd_worker(flags: &HashMap<String, String>) {
     let hosts: usize = parse_num(required(flags, "hosts"), "host count");
     let graph_path = PathBuf::from(required(flags, "graph"));
     let policy_name = required(flags, "policy").to_ascii_uppercase();
-    let Some(kind) = PolicyKind::parse(&policy_name) else {
-        eprintln!("unknown policy '{policy_name}'");
-        usage()
-    };
+    let kind = parse_policy(&policy_name);
     let nonce: u64 = parse_num(required(flags, "nonce"), "run nonce");
-    let incarnation: u32 = flags
-        .get("incarnation")
-        .map(|s| parse_num(s, "incarnation"))
-        .unwrap_or(0);
+    let incarnation: u32 = flag_or(flags, "incarnation", 0);
     let out_dir = PathBuf::from(required(flags, "out-dir"));
     let cfg = cusp_cfg_from_flags(flags);
 
@@ -585,15 +564,8 @@ fn cmd_worker(flags: &HashMap<String, String>) {
     // the partial frame as connection death, never as data.
     let mut saboteur = transport.saboteur();
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let mut lock = stdin.lock();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match lock.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
+        for line in std::io::stdin().lock().lines() {
+            let Ok(line) = line else { return };
             if line.trim() == "TEAR" {
                 if let Some(s) = saboteur.as_mut() {
                     let _ = s.write_all(&100u32.to_le_bytes());
@@ -669,8 +641,9 @@ fn bind_pinned(addr: &str, host: usize) -> std::net::TcpListener {
 /// seeded [`cusp_net::KillPlan`] picks one worker, a pipeline phase, and a
 /// kill mode (SIGKILL / torn connection / SIGSTOP wedge); the launcher
 /// takes the victim down when it announces that phase, then respawns it
-/// (bounded by `--max-restarts`, exponential backoff) with the same listen
-/// address and a bumped incarnation so it rejoins the surviving mesh. The
+/// (on the schedule of a [`cusp_net::Supervisor`]: `--max-restarts`,
+/// `--restart-backoff-ms`) with the same listen address and a bumped
+/// incarnation so it rejoins the surviving mesh. The
 /// run must still end in fingerprint MATCH against the crash-free
 /// simulator. `--kill-repeat` re-kills every incarnation at the same
 /// point, which exhausts the restart budget and must produce a one-line
@@ -685,8 +658,6 @@ struct Worker {
     /// Kept open: the torn kill mode speaks TEAR over it.
     stdin: Option<std::process::ChildStdin>,
     addr: Option<String>,
-    incarnation: u32,
-    restarts: u32,
     kills: u32,
     done: bool,
     /// Stdout of the current incarnation fully drained. Judging a dead
@@ -729,10 +700,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
     let hosts: usize = parse_num(required(flags, "hosts"), "host count");
     let graph_path = PathBuf::from(required(flags, "graph"));
     let policy_name = required(flags, "policy").to_ascii_uppercase();
-    let Some(kind) = PolicyKind::parse(&policy_name) else {
-        eprintln!("unknown policy '{policy_name}'");
-        usage()
-    };
+    let kind = parse_policy(&policy_name);
     if hosts == 0 {
         eprintln!("launch needs at least one host");
         return 2;
@@ -745,20 +713,17 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
 
     let kill_seed: Option<u64> = flags.get("kill-seed").map(|s| parse_num(s, "kill seed"));
     let kill_repeat = flags.contains_key("kill-repeat");
-    let max_restarts: u32 = flags
-        .get("max-restarts")
-        .map(|s| parse_num(s, "max restarts"))
-        .unwrap_or(3);
-    let backoff_base = std::time::Duration::from_millis(
-        flags
-            .get("restart-backoff-ms")
-            .map(|s| parse_num(s, "restart backoff ms"))
-            .unwrap_or(100),
-    );
+    let backoff_ms = flag_or(flags, "restart-backoff-ms", 100);
+    let recovery = cusp_net::RecoveryOptions {
+        max_restarts: flag_or(flags, "max-restarts", 3),
+        restart_backoff: std::time::Duration::from_millis(backoff_ms),
+        ..Default::default()
+    };
     let plan = kill_seed.map(|seed| {
         let d = cusp_net::KillPlan { seed, hosts }.decide();
         println!(
-            "kill plan: seed {seed} -> host {victim}, {mode} @ {phase} (max {max_restarts} restart(s))",
+            "kill plan: seed {seed} -> host {victim}, {mode} @ {phase} (max {max} restart(s))",
+            max = recovery.max_restarts,
             victim = d.victim,
             mode = d.mode.as_str(),
             phase = d.phase,
@@ -858,8 +823,6 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             child,
             stdin,
             addr: None,
-            incarnation: 0,
-            restarts: 0,
             kills: 0,
             done: false,
             eof: false,
@@ -883,130 +846,114 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
     let mut sent = vec![vec![(0u64, 0u64); hosts]; hosts];
     let mut recv = vec![vec![(0u64, 0u64); hosts]; hosts];
     let mut rejoins_total = 0u64;
-    let mut respawns = 0u32;
-    let mut kills_fired = 0u32;
-    let mut pending_respawn: Vec<(usize, std::time::Instant)> = Vec::new();
+    let mut sup = cusp_net::Supervisor::new(hosts, recovery);
     let mut last_progress = std::time::Instant::now();
     let watchdog = std::time::Duration::from_secs(180);
 
     loop {
-        match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok((h, inc, ev)) => {
-                if inc != fleet.workers[h].incarnation {
-                    // A dead generation's reader thread draining out.
-                } else if let Some(line) = ev {
-                    last_progress = std::time::Instant::now();
-                    fleet.workers[h].last_line = last_progress;
-                    let toks: Vec<&str> = line.split_whitespace().collect();
-                    match toks.as_slice() {
-                        ["CUSP-WORKER-LISTEN", addr] => {
-                            if let Some(prev) = &fleet.workers[h].addr {
-                                if prev != addr {
-                                    return fail(
-                                        &fleet,
-                                        h,
-                                        &format!("respawned worker {h} rebound {addr}, expected {prev}"),
-                                    );
+        if let Ok((h, inc, ev)) = rx.recv_timeout(std::time::Duration::from_millis(50)) {
+            if inc != sup.incarnation(h) {
+                // A dead generation's reader thread draining out.
+            } else if let Some(line) = ev {
+                last_progress = std::time::Instant::now();
+                fleet.workers[h].last_line = last_progress;
+                let toks: Vec<&str> = line.split_whitespace().collect();
+                match toks.as_slice() {
+                    ["CUSP-WORKER-LISTEN", addr] => {
+                        if let Some(prev) = &fleet.workers[h].addr {
+                            if prev != addr {
+                                return fail(
+                                    &fleet,
+                                    h,
+                                    &format!("respawned worker {h} rebound {addr}, expected {prev}"),
+                                );
+                            }
+                            // A respawn: it already knows where everyone
+                            // lives — re-send the list immediately.
+                            send_peers(&mut fleet.workers[h], peers_line.as_deref().unwrap());
+                        } else {
+                            fleet.workers[h].addr = Some(addr.to_string());
+                            if fleet.workers.iter().all(|w| w.addr.is_some()) {
+                                let all: Vec<&str> = fleet
+                                    .workers
+                                    .iter()
+                                    .map(|w| w.addr.as_deref().unwrap())
+                                    .collect();
+                                let line = format!("PEERS {}\n", all.join(","));
+                                for w in &mut fleet.workers {
+                                    send_peers(w, &line);
                                 }
-                                // A respawn: it already knows where everyone
-                                // lives — re-send the list immediately.
-                                send_peers(&mut fleet.workers[h], peers_line.as_deref().unwrap());
-                            } else {
-                                fleet.workers[h].addr = Some(addr.to_string());
-                                if fleet.workers.iter().all(|w| w.addr.is_some()) {
-                                    let all: Vec<&str> = fleet
-                                        .workers
-                                        .iter()
-                                        .map(|w| w.addr.as_deref().unwrap())
-                                        .collect();
-                                    let line = format!("PEERS {}\n", all.join(","));
-                                    for w in &mut fleet.workers {
-                                        send_peers(w, &line);
-                                    }
-                                    peers_line = Some(line);
-                                }
+                                peers_line = Some(line);
                             }
                         }
-                        ["CUSP-WORKER-PHASE", phase] => {
-                            fleet.workers[h].last_phase = Some(phase.to_string());
-                            if let Some(d) = &plan {
-                                let due = d.victim == h
-                                    && d.phase == *phase
-                                    && (fleet.workers[h].kills == 0 || kill_repeat);
-                                if due {
-                                    fleet.workers[h].kills += 1;
-                                    kills_fired += 1;
-                                    println!(
-                                        "killing host {h} ({} @ {phase}, incarnation {})",
-                                        d.mode.as_str(),
-                                        fleet.workers[h].incarnation
-                                    );
-                                    match d.mode {
-                                        cusp_net::KillMode::Kill => {
-                                            let _ = fleet.workers[h].child.kill();
-                                        }
-                                        cusp_net::KillMode::Torn => {
-                                            let torn = fleet.workers[h]
-                                                .stdin
-                                                .as_mut()
-                                                .and_then(|s| s.write_all(b"TEAR\n").ok())
-                                                .is_some();
-                                            if !torn {
-                                                let _ = fleet.workers[h].child.kill();
-                                            }
-                                        }
-                                        cusp_net::KillMode::Wedge => {
-                                            let pid = fleet.workers[h].child.id().to_string();
-                                            let stopped = std::process::Command::new("kill")
-                                                .args(["-STOP", &pid])
-                                                .status()
-                                                .map(|s| s.success())
-                                                .unwrap_or(false);
-                                            if stopped {
-                                                fleet.workers[h].wedge_deadline =
-                                                    Some(std::time::Instant::now() + wedge_hold);
-                                            } else {
-                                                let _ = fleet.workers[h].child.kill();
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        ["CUSP-WORKER-SENT", peer, bytes, msgs] => {
-                            sent[h][parse_num::<usize>(peer, "peer")] =
-                                (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
-                        }
-                        ["CUSP-WORKER-RECV", peer, bytes, msgs] => {
-                            recv[h][parse_num::<usize>(peer, "peer")] =
-                                (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
-                        }
-                        ["CUSP-WORKER-REJOINS", n] => {
-                            rejoins_total += parse_num::<u64>(n, "rejoin count");
-                        }
-                        ["CUSP-WORKER-DONE", _] => fleet.workers[h].done = true,
-                        _ => {}
                     }
-                } else {
-                    // EOF of the current incarnation: every line it printed
-                    // has now been processed. Death itself is still decided
-                    // by try_wait below.
-                    fleet.workers[h].eof = true;
+                    ["CUSP-WORKER-PHASE", phase] => {
+                        fleet.workers[h].last_phase = Some(phase.to_string());
+                        if let Some(d) = &plan {
+                            let due = d.victim == h
+                                && d.phase == *phase
+                                && (fleet.workers[h].kills == 0 || kill_repeat);
+                            if due {
+                                let w = &mut fleet.workers[h];
+                                w.kills += 1;
+                                println!(
+                                    "killing host {h} ({} @ {phase}, incarnation {})",
+                                    d.mode.as_str(),
+                                    sup.incarnation(h)
+                                );
+                                // Torn and wedge fall back to SIGKILL when
+                                // their own signal cannot be delivered.
+                                let downed = match d.mode {
+                                    cusp_net::KillMode::Kill => false,
+                                    cusp_net::KillMode::Torn => w
+                                        .stdin
+                                        .as_mut()
+                                        .is_some_and(|s| s.write_all(b"TEAR\n").is_ok()),
+                                    cusp_net::KillMode::Wedge => {
+                                        let pid = w.child.id().to_string();
+                                        let stopped = std::process::Command::new("kill")
+                                            .args(["-STOP", &pid])
+                                            .status()
+                                            .is_ok_and(|s| s.success());
+                                        w.wedge_deadline =
+                                            stopped.then(|| std::time::Instant::now() + wedge_hold);
+                                        stopped
+                                    }
+                                };
+                                if !downed {
+                                    let _ = w.child.kill();
+                                }
+                            }
+                        }
+                    }
+                    ["CUSP-WORKER-SENT", peer, bytes, msgs] => {
+                        sent[h][parse_num::<usize>(peer, "peer")] =
+                            (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
+                    }
+                    ["CUSP-WORKER-RECV", peer, bytes, msgs] => {
+                        recv[h][parse_num::<usize>(peer, "peer")] =
+                            (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
+                    }
+                    ["CUSP-WORKER-REJOINS", n] => {
+                        rejoins_total += parse_num::<u64>(n, "rejoin count");
+                    }
+                    ["CUSP-WORKER-DONE", _] => fleet.workers[h].done = true,
+                    _ => {}
                 }
+            } else {
+                // EOF of the current incarnation: every line it printed
+                // has now been processed. Death itself is still decided
+                // by try_wait below.
+                fleet.workers[h].eof = true;
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
         }
 
         // A wedged victim's hold expired: deliver the SIGKILL (it lands on
         // stopped processes too).
-        for h in 0..hosts {
-            if fleet.workers[h]
-                .wedge_deadline
-                .is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                fleet.workers[h].wedge_deadline = None;
-                let _ = fleet.workers[h].child.kill();
+        for w in &mut fleet.workers {
+            if w.wedge_deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                w.wedge_deadline = None;
+                let _ = w.child.kill();
             }
         }
 
@@ -1015,7 +962,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             let Some(status) = fleet.workers[h].child.try_wait().expect("cannot poll worker") else {
                 continue;
             };
-            if fleet.workers[h].done || pending_respawn.iter().any(|&(p, _)| p == h) {
+            if fleet.workers[h].done || sup.pending(h) {
                 continue;
             }
             if !fleet.workers[h].eof {
@@ -1026,47 +973,32 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
                 continue;
             }
             last_progress = std::time::Instant::now();
-            if kill_seed.is_some()
-                && fleet.workers[h].addr.is_some()
-                && fleet.workers[h].restarts < max_restarts
-            {
-                fleet.workers[h].restarts += 1;
-                let backoff = backoff_base * 2u32.pow((fleet.workers[h].restarts - 1).min(8));
-                println!(
-                    "host {h} died ({status}); respawning incarnation {} in {backoff:?}",
-                    fleet.workers[h].incarnation + 1
-                );
-                pending_respawn.push((h, std::time::Instant::now() + backoff));
-            } else if kill_seed.is_some() && fleet.workers[h].restarts >= max_restarts {
-                return fail(
-                    &fleet,
-                    h,
-                    &format!("host {h} lost: exhausted {max_restarts} restart attempt(s)"),
-                );
-            } else {
+            if kill_seed.is_none() || fleet.workers[h].addr.is_none() {
                 return fail(&fleet, h, &format!("worker {h} failed ({status})"));
+            }
+            match sup.died(h, last_progress) {
+                Ok(backoff) => println!(
+                    "host {h} died ({status}); respawning incarnation {} in {backoff:?}",
+                    sup.incarnation(h) + 1
+                ),
+                Err(cusp_net::ClusterError::HostLost { host, restarts }) => {
+                    let why = format!("host {host} lost: exhausted {restarts} restart attempt(s)");
+                    return fail(&fleet, h, &why);
+                }
             }
         }
 
         // Fire due respawns: same address, bumped incarnation.
         let now = std::time::Instant::now();
-        let mut i = 0;
-        while i < pending_respawn.len() {
-            if pending_respawn[i].1 > now {
-                i += 1;
-                continue;
-            }
-            let (h, _) = pending_respawn.swap_remove(i);
+        for (h, incarnation) in sup.due(now) {
             let w = &mut fleet.workers[h];
             let _ = w.child.wait();
-            w.incarnation += 1;
             w.wedge_deadline = None;
             w.eof = false;
             w.last_line = now;
             w.last_phase = None;
-            respawns += 1;
             let addr = w.addr.clone().unwrap();
-            let mut child = spawn_worker(h, w.incarnation, Some(&addr), &w.stderr_path);
+            let mut child = spawn_worker(h, incarnation, Some(&addr), &w.stderr_path);
             w.stdin = child.stdin.take();
             w.child = child;
         }
@@ -1088,7 +1020,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
                 .filter(|(_, w)| !w.done)
                 .map(|(host, w)| Stalled {
                     host,
-                    incarnation: w.incarnation,
+                    incarnation: sup.incarnation(host),
                     phase: w.last_phase.clone(),
                     silent: now - w.last_line,
                 })
@@ -1128,11 +1060,13 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         wire_msgs
     );
     if let Some(d) = &plan {
+        let kills_fired: u32 = fleet.workers.iter().map(|w| w.kills).sum();
         println!(
-            "recovery: {kills_fired} kill(s) ({} @ {}, host {}), {respawns} respawn(s), {rejoins_total} peer rejoin(s)",
+            "recovery: {kills_fired} kill(s) ({} @ {}, host {}), {} respawn(s), {rejoins_total} peer rejoin(s)",
             d.mode.as_str(),
             d.phase,
-            d.victim
+            d.victim,
+            sup.respawns()
         );
     }
 
@@ -1221,6 +1155,22 @@ fn read_graph_any(path: &Path) -> (cusp_graph::Csr, Option<Vec<u32>>) {
     }
 }
 
+/// Writes the `what` graph to `--out`, if given, with its weights.
+fn write_graph_flag(
+    flags: &HashMap<String, String>,
+    graph: &cusp_graph::Csr,
+    weights: Option<&[u32]>,
+    what: &str,
+) {
+    let Some(out) = flags.get("out") else { return };
+    match weights {
+        Some(w) => cusp_graph::write_bgr_weighted(Path::new(out), graph, w),
+        None => write_bgr(Path::new(out), graph),
+    }
+    .unwrap_or_else(|e| panic!("failed to write {what} graph: {e:?}"));
+    println!("wrote {what} graph to {out}");
+}
+
 /// Parses the text batch format: one event per line, `#` comments.
 ///
 /// ```text
@@ -1279,7 +1229,7 @@ fn batch_from_flags(
         let text = std::fs::read_to_string(path).expect("cannot read batch file");
         parse_batch_text(&text)
     } else if let Some(n) = flags.get("events") {
-        let seed: u64 = flags.get("seed").map(|s| parse_num(s, "seed")).unwrap_or(42);
+        let seed: u64 = flag_or(flags, "seed", 42);
         cusp_graph::wal::seeded_batch(graph, weighted, seed, parse_num(n, "event count"))
     } else {
         eprintln!("apply needs --batch FILE or --events N");
@@ -1323,15 +1273,7 @@ fn cmd_apply(flags: &HashMap<String, String>) {
         let total = wal.load().map(|b| b.len()).unwrap_or(0);
         println!("journaled to {wal_path} ({total} batch(es) total)");
     }
-    if let Some(out) = flags.get("out") {
-        let out = PathBuf::from(out);
-        match &applied.weights {
-            Some(w) => cusp_graph::write_bgr_weighted(&out, &applied.graph, w),
-            None => write_bgr(&out, &applied.graph),
-        }
-        .expect("failed to write mutated graph");
-        println!("wrote mutated graph to {}", out.display());
-    }
+    write_graph_flag(flags, &applied.graph, applied.weights.as_deref(), "mutated");
 }
 
 fn cmd_wal_replay(flags: &HashMap<String, String>) {
@@ -1347,16 +1289,9 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
     });
     println!("{}: {} batch(es)", wal_path, batches.len());
 
-    let checker = flags.get("policy").map(|p| {
-        let name = p.to_ascii_uppercase();
-        let Some(kind) = PolicyKind::parse(&name) else {
-            eprintln!("unknown policy '{name}'");
-            usage()
-        };
-        let hosts: usize =
-            parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "host count");
-        (kind, hosts)
-    });
+    let checker = flags
+        .get("policy")
+        .map(|p| (parse_policy(&p.to_ascii_uppercase()), flag_or::<usize>(flags, "hosts", 4)));
     // The delta/full equivalence check rides on the determinism contract.
     let cfg = CuspConfig {
         deterministic_sync: true,
@@ -1444,15 +1379,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
         graph.num_edges(),
         cusp::graph_fingerprint(&graph, weights.as_deref())
     );
-    if let Some(out) = flags.get("out") {
-        let out = PathBuf::from(out);
-        match &weights {
-            Some(w) => cusp_graph::write_bgr_weighted(&out, &graph, w),
-            None => write_bgr(&out, &graph),
-        }
-        .expect("failed to write replayed graph");
-        println!("wrote replayed graph to {}", out.display());
-    }
+    write_graph_flag(flags, &graph, weights.as_deref(), "replayed");
 }
 
 fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
@@ -1479,10 +1406,7 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
             let path = PathBuf::from(required(flags, "graph"));
             // Weighted .bgr files carry their weights along; plain ones
             // upload structure only.
-            let (graph, weights) = match cusp_graph::read_bgr_weighted(&path) {
-                Ok((g, w)) => (g, Some(w)),
-                Err(_) => (read_bgr(&path).expect("cannot read graph"), None),
-            };
+            let (graph, weights) = read_graph_any(&path);
             let (fp, nodes, edges) = client
                 .upload_graph(tenant, name, &graph, weights.as_deref())
                 .unwrap_or_else(|e| fail(e));
@@ -1495,8 +1419,8 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
                     required(flags, "tenant"),
                     required(flags, "name"),
                     required(flags, "policy"),
-                    parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "hosts"),
-                    flags.get("chunk-edges").map(|s| parse_num(s, "chunk size")).unwrap_or(0),
+                    flag_or(flags, "hosts", 4),
+                    flag_or(flags, "chunk-edges", 0),
                 )
                 .unwrap_or_else(|e| fail(e));
             let Response::Partitioned {
@@ -1522,8 +1446,8 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
                     required(flags, "tenant"),
                     required(flags, "name"),
                     required(flags, "policy"),
-                    parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "hosts"),
-                    flags.get("chunk-edges").map(|s| parse_num(s, "chunk size")).unwrap_or(0),
+                    flag_or(flags, "hosts", 4),
+                    flag_or(flags, "chunk-edges", 0),
                 )
                 .unwrap_or_else(|e| fail(e));
             let Response::QualityReport {
